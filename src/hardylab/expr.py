@@ -408,27 +408,8 @@ class ClosedFormClass:
     riesz_arity: int = 0
 
     @property
-    def is_monomial(self) -> bool:
-        return self.tag == "monomial"
-
-    @property
     def has_closed_form(self) -> bool:
         return self.tag in ("monomial", "log-monomial")
-
-    def single_axis(self) -> int | None:
-        """Index (1-based) of the only t-variable, if the class involves
-        exactly one axis and no r dependence; None otherwise."""
-        if not self.has_closed_form or self.r_exponent != 0.0:
-            return None
-        axes = [
-            i + 1
-            for i, (a, m) in enumerate(zip(self.t_exponents, self.t_log_powers))
-            if a != 0.0 or m != 0
-        ]
-        return axes[0] if len(axes) == 1 else None
-
-
-_ZERO_TOL = 0.0  # exponent bookkeeping is exact float arithmetic
 
 
 def _as_power_product(e: Expr, n: int):

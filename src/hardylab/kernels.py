@@ -19,19 +19,21 @@ defining identity of p holds exactly, not merely to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import expr as _expr
-from .expr import Expr, classify
+from .expr import ClosedFormClass, Expr, classify
 from .quad import SingularityHints
 from .weights import Weight, product_weight
 
-__all__ = ["KernelSpec", "Scenario", "ConditionReport",
-           "check_beta_condition", "check_walpha_condition", "check_morrey_balance"]
+__all__ = ["KernelSpec", "KernelPlan", "Scenario", "ConditionReport",
+           "cube_points", "check_beta_condition", "check_walpha_condition",
+           "check_morrey_balance"]
 
 
 def _as_fraction(x) -> Fraction:
@@ -49,6 +51,63 @@ def _sobol_points(n: int, count: int, seed: int = 7) -> np.ndarray:
 
     pts = qmc.Sobol(d=n, scramble=True, seed=seed).random(count)
     return np.clip(pts, 1e-9, 1.0 - 1e-9)
+
+
+def cube_points(n: int, grid: int, seed: int) -> np.ndarray:
+    """Deterministic sample of the open cube: the midpoint grid with ``grid``
+    points per axis for n <= 3, else 1024 scrambled Sobol points."""
+    if n > 3:
+        return _sobol_points(n, 1024, seed)
+    axis = (np.arange(grid) + 0.5) / grid
+    mesh = np.meshgrid(*([axis] * n), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
+
+
+def _single_axis_monomial(c: ClosedFormClass):
+    """(axis (1-based) or 0 for a constant, |coefficient|, exponent) or None."""
+    if c.tag != "monomial" or c.r_exponent != 0.0:
+        return None
+    axes = [i for i, a in enumerate(c.t_exponents) if a != 0.0]
+    if len(axes) == 0:
+        return (0, abs(c.coeff), 0.0)
+    if len(axes) == 1:
+        i = axes[0]
+        return (i + 1, abs(c.coeff), c.t_exponents[i])
+    return None
+
+
+@dataclass(frozen=True)
+class KernelPlan:
+    """A kernel classified once, for the closed-form, separable and
+    quadrature routes.
+
+    ``psi`` is the class of psi, ``slots[k]`` the single-axis monomial
+    (axis, |c|, e) of s_k or None, and ``base`` psi's own face hints.
+    """
+
+    psi: ClosedFormClass
+    slots: tuple
+    base: SingularityHints
+
+    def hints(self, slot_exponents, log_slots: bool) -> SingularityHints:
+        """Face hints for psi * prod_k |s_k|^{gamma_k}, times one log factor
+        per slot when ``log_slots``; a None exponent marks an unknown slot."""
+        base = self.base
+        if any(mono is None or gamma is None
+               for mono, gamma in zip(self.slots, slot_exponents)):
+            # an unclassified slot can push singular behaviour to either face
+            n = len(base.zero)
+            return replace(base, zero=(None,) * n, one=(None,) * n)
+        zero = list(base.zero)
+        zero_logs = list(base.zero_logs)
+        for (axis, _, e_k), gamma in zip(self.slots, slot_exponents):
+            if axis == 0:
+                continue
+            if zero[axis - 1] is not None:
+                zero[axis - 1] += e_k * gamma
+            if log_slots:
+                zero_logs[axis - 1] += 1
+        return replace(base, zero=tuple(zero), zero_logs=tuple(zero_logs))
 
 
 @dataclass(frozen=True)
@@ -82,11 +141,30 @@ class KernelSpec:
         if bad:
             raise ValueError(f"variable indices {sorted(set(bad))} exceed n={self.n}")
 
-    def psi_class(self):
-        return classify(self.psi, self.n)
-
-    def s_classes(self):
-        return tuple(classify(sk, self.n) for sk in self.s)
+    @functools.cached_property
+    def plan(self) -> KernelPlan:
+        """psi and every s_k classified on first use, then kept."""
+        n = self.n
+        psi_c = classify(self.psi, n)
+        if psi_c.has_closed_form:
+            base = SingularityHints(zero=psi_c.t_exponents, one=(0.0,) * n,
+                                    zero_logs=psi_c.t_log_powers,
+                                    one_logs=(0,) * n)
+        elif psi_c.tag == "riesz":
+            # a multi-axis corner singularity is integrable down to exponent
+            # -k, but per axis the face value is bounded: clamp above -1 so
+            # the symbolic divergence check is not misled (the grading still
+            # concentrates nodes at the corner, which is what helps)
+            a1 = psi_c.riesz_exponent if psi_c.riesz_arity == 1 \
+                else max(psi_c.riesz_exponent, -0.9)
+            base = SingularityHints(zero=(0.0,) * n, one=(min(a1, 0.0),) * n,
+                                    zero_logs=(0,) * n, one_logs=(0,) * n)
+        elif self.sing is not None:
+            base = self.sing.normalized(n)
+        else:
+            base = SingularityHints.unknown(n)
+        slots = tuple(_single_axis_monomial(classify(sk, n)) for sk in self.s)
+        return KernelPlan(psi=psi_c, slots=slots, base=base)
 
     def validate(self, samples: int = 1024) -> None:
         """Sample the open domain: psi >= 0, dilations finite, beta holds."""
@@ -223,13 +301,7 @@ def check_beta_condition(kernel: KernelSpec, beta: float,
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    n = kernel.n
-    if n <= 3:
-        axes = [(np.arange(grid) + 0.5) / grid] * n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-    else:
-        pts = _sobol_points(n, 1024)
+    pts = cube_points(kernel.n, grid, seed=7)
     floor = np.min(pts ** beta, axis=1)
     worst = math.inf
     witness = None

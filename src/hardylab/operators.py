@@ -29,10 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from .expr import ClosedFormClass, classify
 from .kernels import Scenario
-from .quad import (QuadResult, SingularityHints, integrate_positive_orthant,
-                   integrate_unit_cube)
+from .quad import QuadResult, integrate_positive_orthant, integrate_unit_cube
 from .spaces import RadialFunction
 
 __all__ = ["OperatorInstance", "apply", "apply_radial_closed_form",
@@ -99,19 +97,6 @@ def power_log_moment(b: float, m: int, lo: float, hi: float) -> float:
 # exact separable route
 # ---------------------------------------------------------------------------
 
-def _single_axis_monomial(c: ClosedFormClass):
-    """(axis (1-based) or 0 for a constant, |coefficient|, exponent) or None."""
-    if c.tag != "monomial" or c.r_exponent != 0.0:
-        return None
-    axes = [i for i, a in enumerate(c.t_exponents) if a != 0.0]
-    if len(axes) == 0:
-        return (0, abs(c.coeff), 0.0)
-    if len(axes) == 1:
-        i = axes[0]
-        return (i + 1, abs(c.coeff), c.t_exponents[i])
-    return None
-
-
 def _axis_window(e_k: float, c_k: float, xr: float, inner, outer):
     """[lo, hi] window on the s_k axis where the cutoffs keep f_k alive,
     for |s_k(t)| = c_k t^{e_k}; None when the window is empty."""
@@ -147,7 +132,8 @@ def _try_separable(inst: OperatorInstance, xr: float) -> float | None:
     if kernel.domain != "unit-cube" or xr <= 0.0:
         return None
     n = kernel.n
-    psi_c = kernel.psi_class()
+    plan = kernel.plan
+    psi_c = plan.psi
     if not psi_c.has_closed_form:
         return None
     if psi_c.coeff == 0.0:
@@ -160,7 +146,7 @@ def _try_separable(inst: OperatorInstance, xr: float) -> float | None:
         pw = f.power_form()
         if pw is None:
             return None
-        mono = _single_axis_monomial(classify(kernel.s[k], n))
+        mono = plan.slots[k]
         if mono is None or mono[1] <= 0.0:
             return None
         if inst.mode == "commutator":
@@ -235,75 +221,15 @@ def _slot_eval(f, pts: np.ndarray) -> np.ndarray:
     return np.asarray(f(pts), dtype=float)
 
 
-def _infer_hints(inst: OperatorInstance) -> SingularityHints:
-    """Face hints for the cube integrand: psi's own exponents (classified, or
-    the declared ones) plus the classified contribution of every f_k . s_k."""
-    kernel = inst.scenario.kernel
-    n = kernel.n
-    psi_c = kernel.psi_class()
-    declared = kernel.sing.normalized(n) if kernel.sing is not None else None
-    if psi_c.has_closed_form:
-        zero = list(psi_c.t_exponents)
-        zero_logs = list(psi_c.t_log_powers)
-        one = [0.0] * n
-        one_logs = [0] * n
-    elif psi_c.tag == "riesz":
-        zero = [0.0] * n
-        zero_logs = [0] * n
-        # a multi-axis corner singularity is integrable down to exponent -k;
-        # per axis the face value is bounded, so clamp above -1 (the grading
-        # still concentrates nodes at the corner, which is what helps)
-        a1 = psi_c.riesz_exponent if psi_c.riesz_arity == 1 \
-            else max(psi_c.riesz_exponent, -0.9)
-        one = [min(a1, 0.0)] * n
-        one_logs = [0] * n
-    elif declared is not None:
-        zero = list(declared.zero)
-        zero_logs = list(declared.zero_logs)
-        one = list(declared.one)
-        one_logs = list(declared.one_logs)
-    else:
-        zero = [None] * n
-        zero_logs = [0] * n
-        one = [None] * n
-        one_logs = [0] * n
-
-    slots_known = True
-    slot_zero = [0.0] * n
-    slot_logs = [0] * n
-    for k, f in enumerate(inst.inputs):
-        mono = _single_axis_monomial(classify(kernel.s[k], n))
-        pw = f.power_form() if isinstance(f, RadialFunction) else None
-        if mono is None or pw is None:
-            slots_known = False
-            break
-        axis, _, e_k = mono
-        if axis == 0:
-            continue
-        slot_zero[axis - 1] += e_k * pw[1]
-        if inst.mode == "commutator":
-            slot_logs[axis - 1] += 1
-    if not slots_known:
-        # an unclassified slot can push singular behaviour to either face
-        zero = [None] * n
-        one = [None] * n
-    else:
-        zero = [None if z is None else z + slot_zero[i] for i, z in enumerate(zero)]
-        zero_logs = [zl + slot_logs[i] for i, zl in enumerate(zero_logs)]
-    return SingularityHints(zero=tuple(zero), one=tuple(one),
-                            zero_logs=tuple(zero_logs), one_logs=tuple(one_logs))
-
-
 def _cutoff_breakpoints(inst: OperatorInstance, xr: float) -> list:
     kernel = inst.scenario.kernel
-    n = kernel.n
-    out: list[list[float]] = [[] for _ in range(n)]
+    out: list[list[float]] = [[] for _ in range(kernel.n)]
     for k, f in enumerate(inst.inputs):
         if not isinstance(f, RadialFunction):
             continue
         if f.inner_cutoff is None and f.outer_cutoff is None:
             continue
-        mono = _single_axis_monomial(classify(kernel.s[k], n))
+        mono = kernel.plan.slots[k]
         if mono is None or mono[0] == 0 or mono[1] <= 0.0:
             continue
         axis, c_k, e_k = mono
@@ -357,7 +283,12 @@ def apply(inst: OperatorInstance, x, tol: float | None = None,
         return integrate_positive_orthant(integrand, kernel.n, tol=tol,
                                           max_cells=max_cells)
 
-    hints = _infer_hints(inst)
+    # face hints: psi's own plus the classified contribution of every f_k . s_k
+    gammas = []
+    for f in inst.inputs:
+        pw = f.power_form() if isinstance(f, RadialFunction) else None
+        gammas.append(None if pw is None else pw[1])
+    hints = kernel.plan.hints(gammas, inst.mode == "commutator")
     breaks = _cutoff_breakpoints(inst, xr)
     return integrate_unit_cube(integrand, kernel.n, sing=hints, tol=tol,
                                breakpoints=breaks, max_cells=max_cells)

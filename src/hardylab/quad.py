@@ -17,6 +17,7 @@ than a factor of ten.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -312,6 +313,7 @@ class _Panel:
         self.key = key
 
 
+@functools.lru_cache(maxsize=None)
 def _tensor_rule(n: int):
     grids = np.meshgrid(*([_XGK] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)  # in [-1, 1]^n
@@ -324,11 +326,8 @@ def _tensor_rule(n: int):
     return pts, wk, wg
 
 
-_RULE_CACHE: dict[int, tuple] = {}
-
-
 def _eval_panel(F, n, lo, hi):
-    pts01, wk, wg = _RULE_CACHE.setdefault(n, _tensor_rule(n))
+    pts01, wk, wg = _tensor_rule(n)
     lo = np.asarray(lo)
     hi = np.asarray(hi)
     half = 0.5 * (hi - lo)

@@ -22,7 +22,7 @@ import numpy as np
 from . import expr as _expr
 from .expr import Expr
 
-__all__ = ["Weight", "DivergentWeightError", "isotropic", "power_weight",
+__all__ = ["Weight", "DivergentWeightError", "isotropic",
            "sphere_surface_area"]
 
 
@@ -217,10 +217,6 @@ class Weight:
 def isotropic(d: int, degree: float, c: float = 1.0) -> Weight:
     """c |x|^degree; the ubiquitous power weight."""
     return Weight(d=d, degree=degree, kind="isotropic", c=c)
-
-
-def power_weight(d: int, degree: float, c: float = 1.0) -> Weight:
-    return isotropic(d, degree, c)
 
 
 def product_weight(factors: list[tuple[Weight, float]]) -> Weight:

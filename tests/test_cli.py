@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hardylab
 from hardylab.cli import (EXIT_DIVERGENT, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
                           bundled_scenario_dir, load_scenario, main, run,
                           run_suite)
@@ -65,12 +67,16 @@ def test_expected_value_failure(tmp_path):
     assert run("constant", path, out, {"no_timestamp": True}) == EXIT_FAIL
 
 
-def test_report_determinism(tmp_path):
+@pytest.mark.parametrize("command, scenario", [
+    ("sharpness", "hardy-sharpness.json"),
+    ("fuzz", "fuzz-quick.json"),
+])
+def test_report_determinism(tmp_path, command, scenario):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     flags = {"no_timestamp": True, "seed": 99}
-    run("sharpness", SCENARIOS / "hardy-sharpness.json", a, flags)
-    run("sharpness", SCENARIOS / "hardy-sharpness.json", b, flags)
+    run(command, SCENARIOS / scenario, a, flags)
+    run(command, SCENARIOS / scenario, b, flags)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -159,10 +165,13 @@ def test_main_entry_point(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    # the child imports the same hardylab as this process, installed or not
+    src = str(Path(hardylab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hardylab.cli", "constant",
          str(SCENARIOS / "hardy-p2.json"), "--no-timestamp"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True

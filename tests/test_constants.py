@@ -172,6 +172,22 @@ def test_commutator_log_with_scaled_dilation_quadrature():
     assert d.value == pytest.approx(want, rel=1e-7)
 
 
+@pytest.mark.parametrize("a", [0.0, 0.5, -0.5])
+def test_commutator_log_general_density_against_series(a):
+    # psi = e^t t^a has no closed form: quadrature with psi's face probed and
+    # the slot's log factor counted on the t = 0 face.  Oracle:
+    # int_0^1 t^{a-1/4} log(1/t) e^t dt = sum_k 1/(k! (k+a+3/4)^2)
+    k = KernelSpec(m=1, n=1, psi=parse(f"exp(t1) * t1^({a})", 1),
+                   s=(parse("t1", 1),))
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(3,), q=(6,),
+                 lam=(-0.25,), mode="commutator")
+    got = compute_constant("commutator-log", s)
+    want = math.fsum(1.0 / (math.factorial(j) * (j + a + 0.75) ** 2)
+                     for j in range(30))
+    assert got.method == "quadrature"
+    assert abs(got.value - want) <= got.error
+
+
 @pytest.mark.parametrize("lam,d", [(-0.1, 1), (-0.28, 1), (-0.2, 3),
                                    (-0.25, 4), (-0.28, 4)])
 def test_power_and_log_constants_share_finiteness_when_separated(lam, d):

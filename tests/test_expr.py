@@ -6,6 +6,7 @@ import pytest
 from hardylab.expr import (DomainError, ExprSyntaxError, classify,
                            eval_classified, eval_scalar, evaluate, parse,
                            to_string)
+from hardylab.kernels import _single_axis_monomial
 
 
 def test_parse_power_with_negative_exponent():
@@ -93,8 +94,8 @@ def test_classify_general():
 
 
 def test_classify_single_axis_helper():
-    assert classify(parse("0.5 * t2^2", 2), 2).single_axis() == 2
-    assert classify(parse("t1*t2", 2), 2).single_axis() is None
+    assert _single_axis_monomial(classify(parse("0.5 * t2^2", 2), 2)) == (2, 0.5, 2.0)
+    assert _single_axis_monomial(classify(parse("t1*t2", 2), 2)) is None
 
 
 def test_roundtrip_evaluates_identically(rng):
