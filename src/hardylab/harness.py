@@ -28,7 +28,8 @@ from .constants import compute_constant
 from .expr import parse
 from .kernels import (KernelSpec, Scenario, _as_fraction,
                       check_morrey_balance, cube_points)
-from .operators import OperatorInstance, apply, apply_radial_closed_form
+from .operators import (OperatorInstance, apply, apply_radial_closed_form,
+                        separable_profile)
 from .quad import integrate_interval
 from .spaces import (NormResult, RadialFunction, central_morrey_norm,
                      lp_norm, make_witness_lp, power_profile, log_profile)
@@ -100,15 +101,22 @@ def operator_radial_lp_norm(inst: OperatorInstance, outer_tol: float = 1e-9,
     unit = np.zeros(d)
     unit[0] = 1.0
 
-    def profile(r: float) -> float:
-        res = apply(inst, unit * r, tol=inner_tol)
-        if res.divergent:
+    separable = separable_profile(inst)
+
+    def profile(rs: np.ndarray) -> np.ndarray:
+        """T(f)(r e_1) at the radii rs: one separable call when the data
+        separate and every radius is positive, else pointwise ``apply`` (a
+        divergent value is inf)."""
+        if separable is not None and np.all(rs > 0.0):
+            vals = separable(rs)
+        else:
+            vals = np.array([apply(inst, unit * r, tol=inner_tol).value for r in rs])
+        if not np.all(np.isfinite(vals)):
             raise ArithmeticError("operator value diverges at a sample radius")
-        return res.value
+        return vals
 
     def moment_integrand(rs: np.ndarray) -> np.ndarray:
-        return np.array([abs(profile(float(r))) ** p * float(r) ** (d + alpha - 1.0)
-                         for r in np.atleast_1d(rs)])
+        return np.abs(profile(rs)) ** p * rs ** (d + alpha - 1.0)
 
     r_start = _support_start(inst)
     if not math.isfinite(r_start):
@@ -143,7 +151,8 @@ def operator_radial_lp_norm(inst: OperatorInstance, outer_tol: float = 1e-9,
     if tail_exp >= 0.0:
         return NormResult(math.inf, "radial-quadrature", math.inf, "divergent")
     T = _TAIL_RADIUS
-    w_tail = abs(profile(T)) / T ** sum_gamma
+    v_T = abs(float(profile(np.array([T]))[0]))
+    w_tail = v_T / T ** sum_gamma
     bare = OperatorInstance(
         scenario=s,
         inputs=tuple(RadialFunction(f.profile) for f in inst.inputs),
@@ -154,8 +163,9 @@ def operator_radial_lp_norm(inst: OperatorInstance, outer_tol: float = 1e-9,
     if ceiling_res.divergent:
         # the cutoff-free integral diverges, so W(r) keeps growing; probe the
         # growth rate of the moment integrand empirically, 100% error bar
-        h_T = abs(profile(T)) ** p * T ** (d + alpha - 1.0)
-        h_2T = abs(profile(2.0 * T)) ** p * (2.0 * T) ** (d + alpha - 1.0)
+        h_T = v_T ** p * T ** (d + alpha - 1.0)
+        h_2T = abs(float(profile(np.array([2.0 * T]))[0])) ** p \
+            * (2.0 * T) ** (d + alpha - 1.0)
         if h_T > 0.0 and h_2T > 0.0:
             sigma = math.log2(h_2T / h_T)
         else:

@@ -11,7 +11,8 @@ Two evaluation routes are provided and cross-checked by the tests:
 
 * an exact separable route for classified data (monomial psi, single-axis
   monomial dilations, power/cutoff radial inputs, log symbols), built from
-  incomplete moments int t^b log(1/t)^m dt with closed-form recursions;
+  incomplete moments int t^b log(1/t)^m dt with closed-form recursions and
+  evaluated for a whole array of radii per call;
 * a quadrature route over the full domain with face hints inferred from the
   classifications; cutoff inputs zero the integrand below the interface,
   with exact panel splits when the interface is axis-aligned.
@@ -24,6 +25,7 @@ coefficient and exponent directly.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,7 @@ from .quad import QuadResult, integrate_positive_orthant, integrate_unit_cube
 from .spaces import RadialFunction
 
 __all__ = ["OperatorInstance", "apply", "apply_radial_closed_form",
-           "power_log_moment"]
+           "power_log_moment", "separable_profile"]
 
 _MODES = ("plain", "hausdorff", "commutator")
 
@@ -65,81 +67,80 @@ class OperatorInstance:
             raise ValueError("symbols are only meaningful in commutator mode")
 
 
-def power_log_moment(b: float, m: int, lo: float, hi: float) -> float:
+def power_log_moment(b: float, m: int, lo, hi):
     """integral over [lo, hi] of t^b log(1/t)^m dt, 0 <= lo <= hi <= 1.
 
-    Exact recursion: (b+1) I(b,m) = [t^{b+1} log(1/t)^m] + m I(b, m-1);
-    for b = -1 the antiderivative is -log(1/t)^{m+1}/(m+1).  Divergent
-    (returns inf) when lo = 0 and b <= -1.
+    ``lo`` and ``hi`` may be arrays (broadcast together); scalar bounds give
+    a float.  Exact recursion: (b+1) I(b,m) = [t^{b+1} log(1/t)^m] +
+    m I(b, m-1); for b = -1 the antiderivative is -log(1/t)^{m+1}/(m+1).
+    Divergent (inf) where lo = 0 < hi and b <= -1.
     """
-    if not 0.0 <= lo <= hi <= 1.0:
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if not ((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)).all():
         raise ValueError("need 0 <= lo <= hi <= 1")
-    if hi == lo:
-        return 0.0
-    if lo == 0.0 and b <= -1.0:
-        return math.inf
+    out = _moment(b, m, lo, hi)
+    return float(out) if out.ndim == 0 else out
 
-    def L(t: float) -> float:
-        return math.log(1.0 / t)
 
+def _moment(b: float, m: int, lo, hi):
+    """power_log_moment for bounds (floats or arrays) already known to
+    satisfy its range."""
+    if b > -1.0 and m == 0:
+        # t^{b+1} is 0 at t = 0, and an empty window cancels to 0 exactly
+        return (hi ** (b + 1.0) - lo ** (b + 1.0)) / (b + 1.0)
+    pos = lo > 0.0
+    # stand-ins keep t = 0 out of the logs and powers; the entries they
+    # touch are overwritten below (lo = 0 terms vanish for b > -1)
+    lo1 = np.where(pos, lo, 1.0)
+    hi1 = np.where(hi > 0.0, hi, 1.0)
     if b == -1.0:
-        return (L(lo) ** (m + 1) - L(hi) ** (m + 1)) / (m + 1)
-    if m == 0:
-        top = hi ** (b + 1.0)
-        bot = lo ** (b + 1.0) if lo > 0.0 else 0.0
-        return (top - bot) / (b + 1.0)
-    top = hi ** (b + 1.0) * L(hi) ** m
-    bot = lo ** (b + 1.0) * L(lo) ** m if lo > 0.0 else 0.0
-    return (top - bot + m * power_log_moment(b, m - 1, lo, hi)) / (b + 1.0)
+        out = (np.log(1.0 / lo1) ** (m + 1) - np.log(1.0 / hi1) ** (m + 1)) / (m + 1)
+    else:
+        top = hi1 ** (b + 1.0)
+        bot = np.where(pos, lo1 ** (b + 1.0), 0.0)
+        out = (top - bot) / (b + 1.0)
+        L_lo = np.log(1.0 / lo1)
+        L_hi = np.log(1.0 / hi1)
+        for k in range(1, m + 1):
+            out = (top * L_hi ** k - bot * L_lo ** k + k * out) / (b + 1.0)
+    if b <= -1.0:
+        out = np.where(pos, out, math.inf)
+    return np.where(hi == lo, 0.0, out)
 
 
 # ---------------------------------------------------------------------------
 # exact separable route
 # ---------------------------------------------------------------------------
 
-def _axis_window(e_k: float, c_k: float, xr: float, inner, outer):
-    """[lo, hi] window on the s_k axis where the cutoffs keep f_k alive,
-    for |s_k(t)| = c_k t^{e_k}; None when the window is empty."""
-    lo, hi = 0.0, 1.0
+def separable_profile(inst: OperatorInstance) -> Callable | None:
+    """The exact separable route: a function mapping radii |x| > 0 (an
+    array, or one float) to the operator values there, or None when the
+    data do not separate.
 
-    def clamp01(v):
-        return min(max(v, 0.0), 1.0)
-
-    if inner is not None:
-        rho = inner / (c_k * xr)
-        if e_k > 0:
-            lo = max(lo, clamp01(rho ** (1.0 / e_k)))
-        elif e_k < 0:
-            hi = min(hi, clamp01(rho ** (1.0 / e_k)) if rho > 0 else 1.0)
-        elif c_k * xr < inner:
-            return None
-    if outer is not None:
-        rho = outer / (c_k * xr)
-        if e_k > 0:
-            hi = min(hi, clamp01(rho ** (1.0 / e_k)))
-        elif e_k < 0:
-            lo = max(lo, clamp01(rho ** (1.0 / e_k)) if rho > 0 else 0.0)
-        elif c_k * xr > outer:
-            return None
-    if lo >= hi:
-        return None
-    return (lo, hi)
-
-
-def _try_separable(inst: OperatorInstance, xr: float) -> float | None:
-    """Exact value at radius |x| = xr, or None when the data do not separate."""
+    The per-instance work (input checks, power forms, the plan's slot
+    monomials, per-axis exponents, the commutator log expansion and the
+    moments of axes without cutoffs) is done here once; each call of the
+    returned function computes the coefficients (c_k |x|)^{gamma_k}, the
+    cutoff windows and the windowed moments elementwise over the radii.
+    """
     kernel = inst.scenario.kernel
-    if kernel.domain != "unit-cube" or xr <= 0.0:
+    if kernel.domain != "unit-cube":
         return None
     n = kernel.n
     plan = kernel.plan
     psi_c = plan.psi
     if not psi_c.has_closed_form:
         return None
+
+    def zero(radii):
+        return np.zeros(np.shape(radii))
+
     if psi_c.coeff == 0.0:
-        return 0.0
+        return zero
 
     slots = []
+    vanishes = False
     for k, f in enumerate(inst.inputs):
         if not isinstance(f, RadialFunction):
             return None
@@ -154,61 +155,97 @@ def _try_separable(inst: OperatorInstance, xr: float) -> float | None:
             if not (isinstance(sym, RadialFunction) and sym.is_log
                     and sym.inner_cutoff is None and sym.outer_cutoff is None):
                 return None
-        slots.append((mono, pw, f.inner_cutoff, f.outer_cutoff))
+        # an inner cut at or below 0 keeps every |y| > 0; an outer one
+        # keeps none, so f_k and the operator vanish
+        inner, outer = f.inner_cutoff, f.outer_cutoff
+        vanishes |= pw[0] == 0.0 or (outer is not None and outer <= 0.0)
+        cuts = []
+        if inner is not None and inner > 0.0:
+            cuts.append((inner, True))
+        if outer is not None:
+            cuts.append((outer, False))
+        slots.append((*mono, *pw, cuts))
+    if vanishes:
+        return zero
 
-    # per-axis exponents and live windows
     b = list(psi_c.t_exponents)
-    m_logs = list(psi_c.t_log_powers)
-    lo = [0.0] * n
-    hi = [1.0] * n
-    coeff = psi_c.coeff
-    for (axis, c_k, e_k), (fc, gamma), inner, outer in slots:
-        if fc == 0.0:
-            return 0.0
-        coeff *= fc * (c_k * xr) ** gamma
-        if axis == 0:
-            if (inner is not None or outer is not None) and \
-                    _axis_window(0.0, c_k, xr, inner, outer) is None:
-                return 0.0
-            continue
-        b[axis - 1] += e_k * gamma
-        if inner is not None or outer is not None:
-            win = _axis_window(e_k, c_k, xr, inner, outer)
-            if win is None:
-                return 0.0
-            lo[axis - 1] = max(lo[axis - 1], win[0])
-            hi[axis - 1] = min(hi[axis - 1], win[1])
-            if lo[axis - 1] >= hi[axis - 1]:
-                return 0.0
+    windowed = set()
+    for axis, _, e_k, _, gamma, cuts in slots:
+        if axis > 0:
+            b[axis - 1] += e_k * gamma
+            if cuts and e_k != 0.0:
+                windowed.add(axis - 1)
 
-    if inst.mode != "commutator":
-        total = coeff
-        for i in range(n):
-            total *= power_log_moment(b[i], m_logs[i], lo[i], hi[i])
-        return total
-
-    # expand prod_k (delta_k + e_k log(1/t_{axis_k})), delta_k = -log c_k
-    terms: list[tuple[float, tuple[int, ...]]] = [(1.0, (0,) * n)]
-    for (axis, c_k, e_k), _, _, _ in slots:
-        delta = -math.log(c_k)
-        new_terms: list[tuple[float, tuple[int, ...]]] = []
-        for tc, logs in terms:
-            if delta != 0.0:
-                new_terms.append((tc * delta, logs))
-            if axis > 0 and e_k != 0.0:
-                bumped = list(logs)
-                bumped[axis - 1] += 1
-                new_terms.append((tc * e_k, tuple(bumped)))
-        terms = new_terms
+    # expand prod_k (delta_k + e_k log(1/t_{axis_k})), delta_k = -log c_k,
+    # into terms (coefficient, log power per axis)
+    terms = [(1.0, psi_c.t_log_powers)]
+    if inst.mode == "commutator":
+        for axis, c_k, e_k, _, _, _ in slots:
+            delta = -math.log(c_k)
+            new_terms = []
+            for tc, logs in terms:
+                if delta != 0.0:
+                    new_terms.append((tc * delta, logs))
+                if axis > 0 and e_k != 0.0:
+                    bumped = list(logs)
+                    bumped[axis - 1] += 1
+                    new_terms.append((tc * e_k, tuple(bumped)))
+            terms = new_terms
         if not terms:
-            return 0.0
-    total = 0.0
-    for tc, logs in terms:
-        piece = coeff * tc
-        for i in range(n):
-            piece *= power_log_moment(b[i], m_logs[i] + logs[i], lo[i], hi[i])
-        total += piece
-    return total
+            return zero
+    fixed = {(i, logs[i]): _moment(b[i], logs[i], 0.0, 1.0)
+             for _, logs in terms for i in range(n) if i not in windowed}
+
+    def values(xr):
+        # one float radius (pointwise apply) runs on Python floats, which
+        # costs less than numpy calls on one-element arrays; an array of
+        # radii runs elementwise in numpy
+        coeff = psi_c.coeff
+        lo: list = [None] * n  # None: no cut bounds the axis on that side
+        hi: list = [None] * n
+        dead = False
+        for axis, c_k, e_k, fc, gamma, cuts in slots:
+            cr = c_k * xr
+            coeff = coeff * (fc * cr ** gamma)
+            for cut, is_inner in cuts:
+                if e_k == 0.0:  # |s_k| = c_k: f_k is alive or not as a whole
+                    dead = dead | (cr < cut if is_inner else cr > cut)
+                    continue
+                # the cut passes t on one side of tau, |s_k(tau)| |x| = cut;
+                # a lower bound above 1 empties the window, an upper one
+                # above 1 is no bound
+                tau = (cut / cr) ** (1.0 / e_k)
+                i = axis - 1
+                if is_inner == (e_k > 0.0):
+                    lo[i] = tau if lo[i] is None else np.maximum(lo[i], tau)
+                else:
+                    tau = np.minimum(tau, 1.0)
+                    hi[i] = tau if hi[i] is None else np.minimum(hi[i], tau)
+        for i in windowed:
+            if lo[i] is None:
+                lo[i] = 0.0
+            if hi[i] is None:
+                hi[i] = 1.0
+            dead = dead | (lo[i] >= hi[i])
+        any_dead = dead.any() if isinstance(dead, np.ndarray) else bool(dead)
+        if any_dead:
+            # dead radii get the window [0, 0], whose moments are 0 (their
+            # values are set to 0 below)
+            for i in windowed:
+                lo[i] = np.where(dead, 0.0, lo[i])
+                hi[i] = np.where(dead, 0.0, hi[i])
+        total = 0.0
+        for tc, logs in terms:
+            piece = coeff * tc
+            for i in range(n):
+                moment = fixed.get((i, logs[i]))
+                if moment is None:
+                    moment = _moment(b[i], logs[i], lo[i], hi[i])
+                piece = piece * moment
+            total = total + piece
+        return np.where(dead, 0.0, total) if any_dead else total
+
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +295,12 @@ def apply(inst: OperatorInstance, x, tol: float | None = None,
         raise ValueError(f"x must be a point in R^{s.d}")
     xr = float(np.sqrt(np.sum(x * x)))
 
-    if not force_quadrature:
-        exact = _try_separable(inst, xr)
-        if exact is not None:
-            if not math.isfinite(exact):
-                return QuadResult(math.inf, math.inf, math.inf, "divergent", 0)
-            return QuadResult(exact, abs(exact) * 1e-15, 1e-15, "converged", 0)
+    profile = None if force_quadrature or xr <= 0.0 else separable_profile(inst)
+    if profile is not None:
+        exact = float(profile(xr))
+        if not math.isfinite(exact):
+            return QuadResult(math.inf, math.inf, math.inf, "divergent", 0)
+        return QuadResult(exact, abs(exact) * 1e-15, 1e-15, "converged", 0)
 
     sym_at_x = None
     if inst.mode == "commutator":

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,9 +249,11 @@ _PROBE_H = tuple(2.0 ** (-k) for k in range(8, 19, 2))
 
 
 def _probe_face_exponent(f, n: int, axis: int, face: int) -> float:
-    """Estimate a in f ~ t_axis^a near the given face by log-log slope."""
+    """Estimate a in f ~ t_axis^a near the given face by log-log slope,
+    the median over the anchors of the other coordinates (in 1-D there are
+    none, so one anchor's points are all there is to probe)."""
     slopes = []
-    for anchor in _PROBE_ANCHORS:
+    for anchor in _PROBE_ANCHORS if n > 1 else _PROBE_ANCHORS[:1]:
         pts = np.full((len(_PROBE_H), n), anchor)
         h = np.array(_PROBE_H)
         pts[:, axis] = h if face == 0 else 1.0 - h
@@ -268,7 +271,7 @@ def _probe_face_exponent(f, n: int, axis: int, face: int) -> float:
         slopes.append(slope)
     if not slopes:
         return 0.0
-    return float(np.median(slopes))
+    return float(statistics.median(slopes))
 
 
 def _resolve_hints(f, n: int, hints: SingularityHints | None):

@@ -464,14 +464,14 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
 # log|x| in weighted BMO: the doubling-weight oscillation bounds
 # ---------------------------------------------------------------------------
 
-def _cap_fraction(d: int, cos_theta: float) -> float:
-    """Fraction of the unit sphere S_{d-1} with polar angle <= theta, d >= 2."""
+def _cap_fraction(d: int, cos_theta: np.ndarray) -> np.ndarray:
+    """Fraction of the unit sphere S_{d-1} with polar angle <= theta, d >= 2,
+    elementwise over an array of cos(theta)."""
     from scipy.special import betainc
 
-    ct = min(max(cos_theta, -1.0), 1.0)
-    s2 = 1.0 - ct * ct
-    half = 0.5 * betainc((d - 1) / 2.0, 0.5, s2)
-    return half if ct >= 0.0 else 1.0 - half
+    ct = np.clip(cos_theta, -1.0, 1.0)
+    half = 0.5 * betainc((d - 1) / 2.0, 0.5, 1.0 - ct * ct)
+    return np.where(ct >= 0.0, half, 1.0 - half)
 
 
 def _offcenter_ball_integral(h, w: Weight, center_radius: float, radius: float,
@@ -495,7 +495,7 @@ def _offcenter_ball_integral(h, w: Weight, center_radius: float, radius: float,
             inner = (rho + R0 <= radius).astype(float)
             return 0.5 + 0.5 * inner
         ct = (R0 ** 2 + rho ** 2 - radius ** 2) / (2.0 * R0 * rho)
-        return np.array([_cap_fraction(d, c) for c in ct])
+        return _cap_fraction(d, ct)
 
     def integrand(rho):
         return h(rho) * cw * rho ** (alpha + d - 1.0) * frac(rho)

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from hardylab import kernels
+from hardylab import harness, kernels, operators, spaces
 from hardylab.expr import parse
 from hardylab.harness import (commutator_witness_check, morrey_extremal_check,
                               operator_radial_lp_norm, sharpness_sweep,
@@ -192,3 +193,56 @@ def test_witness_ratio_stays_strictly_below_constant():
     inst = OperatorInstance(s, (wit[0].function,))
     res = operator_radial_lp_norm(inst)
     assert res.value / wit[0].norm < 2.0
+
+
+def test_divergent_profile_raises_and_cutoff_reports_divergent():
+    k = KernelSpec(m=1, n=1, psi=parse("t1^-0.9", 1), s=(parse("t1", 1),))
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(4,))
+    # psi * |s|^-0.5 = t^-1.4 is not integrable: every sample radius diverges
+    with pytest.raises(ArithmeticError):
+        operator_radial_lp_norm(OperatorInstance(s, (power_profile(-0.5),)))
+    # the cutoff keeps each sample finite, but the profile grows too fast
+    res = operator_radial_lp_norm(
+        OperatorInstance(s, (power_profile(-0.5, inner_cutoff=1.0),)))
+    assert res.status == "divergent"
+
+
+def test_operator_norm_call_counts_do_not_grow_with_radii(monkeypatch):
+    # a two-slot fuzz draw: apply and classify run a fixed number of times
+    # per operator norm, however many radii the outer quadrature samples
+    for trial in range(64):
+        rng = np.random.default_rng([1315, trial])
+        scenario, inputs, _ = harness._random_monomial_scenario(rng, 2, 2, 2)
+        if scenario.kernel.m == 2:
+            break
+    inst = OperatorInstance(scenario, inputs)
+    counts = {"apply": 0, "classify": 0, "radii": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    real_interval = harness.integrate_interval
+
+    def counting_interval(f, *args, **kwargs):
+        def g(x):
+            counts["radii"] += np.size(x)
+            return f(x)
+        return real_interval(g, *args, **kwargs)
+
+    counted_apply = counting("apply", operators.apply)
+    monkeypatch.setattr(operators, "apply", counted_apply)
+    monkeypatch.setattr(harness, "apply", counted_apply)
+    monkeypatch.setattr(spaces, "classify", counting("classify", spaces.classify))
+    monkeypatch.setattr(harness, "integrate_interval", counting_interval)
+    seen = []
+    for tol in (1e-6, 1e-10):
+        counts.update(apply=0, classify=0, radii=0)
+        res = operator_radial_lp_norm(inst, outer_tol=tol)
+        assert res.status == "finite" and res.value > 0.0
+        seen.append(dict(counts))
+    assert seen[1]["radii"] > seen[0]["radii"]
+    assert seen[0]["apply"] == seen[1]["apply"]
+    assert seen[0]["classify"] == seen[1]["classify"]

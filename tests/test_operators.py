@@ -6,7 +6,8 @@ import pytest
 from hardylab.expr import parse
 from hardylab.kernels import KernelSpec, Scenario
 from hardylab.operators import (OperatorInstance, apply,
-                                apply_radial_closed_form, power_log_moment)
+                                apply_radial_closed_form, power_log_moment,
+                                separable_profile)
 from hardylab.spaces import RadialFunction, log_profile, power_profile
 from hardylab.weights import isotropic
 
@@ -20,6 +21,19 @@ def test_power_log_moment_closed_forms():
         math.log(10.0) ** 2 / 2.0
     )
     assert power_log_moment(-1.2, 0, 0.0, 1.0) == math.inf
+
+
+def test_power_log_moment_array_bounds():
+    lo = np.array([0.0, 0.1, 0.5, 0.7])
+    hi = np.array([1.0, 0.6, 0.5, 1.0])
+    got = power_log_moment(-0.25, 1, lo, hi)
+    want = [power_log_moment(-0.25, 1, float(a), float(b)) for a, b in zip(lo, hi)]
+    assert np.array_equal(got, want)
+    assert got[2] == 0.0  # empty window
+    div = power_log_moment(-1.2, 0, np.array([0.0, 0.2]), 1.0)
+    assert div[0] == math.inf and math.isfinite(div[1])
+    with pytest.raises(ValueError):
+        power_log_moment(0.5, 0, np.array([0.2, 0.6]), np.array([0.4, 0.5]))
 
 
 def test_power_log_moment_against_quadrature(rng):
@@ -217,3 +231,43 @@ def test_higher_dimension_points():
     x = np.array([1.0, 2.0, 2.0])  # |x| = 3
     got = apply(inst, x).value
     assert got == pytest.approx(4.0 / 3.0 * 3.0 ** -0.25, rel=1e-12)
+
+
+def _separable_cases():
+    # plain: inner and outer cutoffs, a negative exponent e_k, an axis-0
+    # (constant) slot; alive only for |x| in [1.25, 10/3]
+    k = KernelSpec(m=3, n=2, psi=parse("t1^0.3 * t2^-0.2", 2),
+                   s=(parse("0.8 * t1^1.5", 2), parse("1.2 * t2^-0.7", 2),
+                      parse("0.9", 2)))
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),) * 3, p=(3, 3, 3))
+    yield OperatorInstance(s, (power_profile(-0.3, inner_cutoff=1.0, outer_cutoff=4.0),
+                               power_profile(0.2, coeff=1.5, inner_cutoff=0.5),
+                               power_profile(0.1, inner_cutoff=0.6, outer_cutoff=3.0)))
+    # commutator: -log c_k != 0 expands the log factor into two terms
+    k = KernelSpec(m=2, n=1, psi=parse("t1^0.5", 1),
+                   s=(parse("0.5 * t1", 1), parse("t1^-0.8", 1)))
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),) * 2, p=(3, 3),
+                 q=(6, 6), lam=(-0.25, -0.25), mode="commutator")
+    yield OperatorInstance(s, (power_profile(-0.25, inner_cutoff=1.0),
+                               power_profile(-0.1, outer_cutoff=6.0)),
+                           (log_profile(), log_profile()), mode="commutator")
+    # psi with coefficient 0
+    k = KernelSpec(m=1, n=1, psi=parse("0", 1), s=(parse("t1", 1),))
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,))
+    yield OperatorInstance(s, (power_profile(-0.25, inner_cutoff=1.0),))
+
+
+@pytest.mark.parametrize("inst", list(_separable_cases()),
+                         ids=["plain-cutoffs", "commutator", "zero-psi"])
+def test_separable_profile_matches_pointwise_apply(inst):
+    radii = np.geomspace(0.05, 50.0, 41)
+    got = separable_profile(inst)(radii)
+    want = [apply(inst, [r]).value for r in radii]
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    if inst.scenario.kernel.plan.psi.coeff != 0.0:
+        # the radii straddle the cutoffs: empty windows give exact zeros
+        assert 0 < np.count_nonzero(got) < len(radii)
+    # the quadrature route checks the windows independently
+    for r, value in zip(radii[::2], got[::2]):
+        quad = apply(inst, [r], force_quadrature=True).value
+        assert quad == pytest.approx(value, rel=1e-8, abs=1e-14)

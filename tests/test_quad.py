@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hardylab.quad import (SingularityHints, integrate_interval,
+from hardylab.quad import (_PROBE_H, SingularityHints, _probe_face_exponent,
+                           integrate_interval,
                            integrate_positive_orthant, integrate_unit_cube,
                            neumaier_sum)
 
@@ -157,3 +158,33 @@ def test_converged_status_respects_tolerance():
     assert res.converged
     assert res.rel_error_estimate <= 1e-10
     assert res.value == pytest.approx(math.e - 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("face", [0, 1])
+def test_probe_evaluates_a_1d_face_once(face):
+    # in 1-D every anchor's points coincide, so one evaluation is enough
+    seen = []
+
+    def f(pts):
+        seen.append(pts.shape)
+        u = pts[:, 0] if face == 0 else 1.0 - pts[:, 0]
+        return u ** -0.4 * (1.0 + u)
+
+    slope = _probe_face_exponent(f, 1, 0, face)
+    assert seen == [(len(_PROBE_H), 1)]
+    # the old probe took the median of three equal slopes, one per anchor
+    h = np.array(_PROBE_H)
+    pts = (h if face == 0 else 1.0 - h)[:, None]
+    one_anchor = np.polyfit(np.log(h), np.log(np.abs(f(pts))), 1)[0]
+    assert slope == float(np.median([one_anchor] * 3))
+
+
+def test_probe_uses_every_anchor_in_2d():
+    seen = []
+
+    def f(pts):
+        seen.append(pts.shape)
+        return pts[:, 0] ** -0.4 * (1.0 + pts[:, 1])
+
+    assert _probe_face_exponent(f, 2, 0, 0) == pytest.approx(-0.4, abs=1e-3)
+    assert seen == [(len(_PROBE_H), 2)] * 3

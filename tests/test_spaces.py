@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hardylab.expr import parse
-from hardylab.spaces import (RadialFunction, central_morrey_norm, cmo_norm,
-                             log_bmo_check, lp_norm, make_witness_lp,
+from hardylab.spaces import (RadialFunction, _cap_fraction, central_morrey_norm,
+                             cmo_norm, log_bmo_check, lp_norm, make_witness_lp,
                              log_profile, power_profile)
 from hardylab.weights import isotropic
 
@@ -161,6 +161,18 @@ def test_log_bmo_mixed_grid(alpha):
     centers = np.linspace(-8.0, 8.0, 16)
     rep = log_bmo_check(isotropic(1, alpha), centers)
     assert rep["passed"]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cap_fraction_array_matches_per_element_formula(d):
+    from scipy.special import betainc
+
+    cts = [-1.0, -0.3, 0.0, 0.4, 1.0]
+    want = []
+    for ct in cts:
+        half = 0.5 * betainc((d - 1) / 2.0, 0.5, 1.0 - ct * ct)
+        want.append(half if ct >= 0.0 else 1.0 - half)
+    assert np.array_equal(_cap_fraction(d, np.array(cts)), want)
 
 
 def test_log_bmo_higher_dimension_far_center():
