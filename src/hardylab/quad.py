@@ -306,14 +306,13 @@ def _resolve_hints(f, n: int, hints: SingularityHints | None):
 # ---------------------------------------------------------------------------
 
 class _Panel:
-    __slots__ = ("lo", "hi", "value", "error", "key")
+    __slots__ = ("lo", "hi", "value", "error")
 
-    def __init__(self, lo, hi, value, error, key):
+    def __init__(self, lo, hi, value, error):
         self.lo = lo
         self.hi = hi
         self.value = value
         self.error = error
-        self.key = key
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,22 +328,51 @@ def _tensor_rule(n: int):
     return pts, wk, wg
 
 
-def _eval_panel(F, n, lo, hi):
+# the most points one integrand call evaluates, in whole panels but never
+# fewer than one split's two halves.  It bounds the arrays of one call; on
+# the benchmark's cube pool 4096 and 16384 ran within noise of 8192, and
+# each doubling added about 0.4 MB of peak memory.
+_BATCH_POINTS = 8192
+
+
+def _eval_panels(F, n, boxes):
+    """Kronrod value and error estimate of each (lo, hi) box, from one call
+    of F on all their nodes.  A box with a non-finite integrand value gets
+    None: the caller raises only if it uses that box."""
     pts01, wk, wg = _tensor_rule(n)
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
+    lo = np.array([box[0] for box in boxes])
+    hi = np.array([box[1] for box in boxes])
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    pts = mid + half * pts01
-    vol = float(np.prod(half))
+    # mid + half * node, a coordinate at a time (long inner loops)
+    pts = np.empty((len(boxes), len(wk), n))
+    for ax, nodes in enumerate(pts01.T):
+        pts[:, :, ax] = mid[:, ax, None] + half[:, ax, None] * nodes
     with np.errstate(all="ignore"):
-        vals = np.asarray(F(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("non-finite integrand value inside a panel")
-    vk = float(np.dot(wk, vals)) * vol
-    vg = float(np.dot(wg, vals)) * vol
-    err = abs(vk - vg)
-    return vk, max(err, abs(vk) * 5e-16)
+        vals = np.asarray(F(pts.reshape(-1, n)), dtype=float).reshape(len(boxes), len(wk))
+    out = []
+    # a dot per row, not one vals @ wk: the matrix product rounds differently
+    # in the last bit, and a panel's value must not depend on its batch
+    for row, vol, finite in zip(vals, np.prod(half, axis=1).tolist(),
+                                np.isfinite(vals).all(axis=1).tolist()):
+        if not finite:
+            out.append(None)
+            continue
+        vk = float(np.dot(wk, row)) * vol
+        vg = float(np.dot(wg, row)) * vol
+        out.append((vk, max(abs(vk - vg), abs(vk) * 5e-16)))
+    return out
+
+
+def _halves(p: _Panel):
+    """The two boxes a panel splits into: halved along its widest axis."""
+    ax = int(np.argmax(p.hi - p.lo))
+    mid = 0.5 * (p.lo[ax] + p.hi[ax])
+    hi_left = p.hi.copy()
+    hi_left[ax] = mid
+    lo_right = p.lo.copy()
+    lo_right[ax] = mid
+    return [(p.lo, hi_left), (lo_right, p.hi)]  # boxes are never written to
 
 
 def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
@@ -353,6 +381,17 @@ def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
     The panel list keeps deterministic keys so the final total is recomputed
     with compensated summation in key order, making the result independent of
     refinement scheduling details.
+
+    Refinement is greedy, one split at a time: the worst panel is halved
+    along its widest axis.  Only the evaluation is batched.  When the worst
+    panel's halves are not evaluated yet, one call of F of at most
+    _BATCH_POINTS points evaluates them together with the halves of the next
+    worst panels that any converging run must split too (Gladwell's rule:
+    the fewest worst panels whose errors keep the total above tolerance);
+    those are kept until greedy pops their panel.  Results are those of one
+    split per call, provided F is row-wise: a non-finite half raises only
+    when greedy uses it, and a batched call that raises is replayed one
+    panel per call.
     """
     segments = []
     for ax in range(n):
@@ -360,22 +399,85 @@ def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
         segments.append([(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)])
 
     heap: list = []
+    fresh: list = []  # the entries of `heap` whose halves are not evaluated
+    kids: dict[int, list] = {}  # key -> the panel's evaluated halves
+    kids_error = 0.0  # the error of the panels in kids
     counter = 0
     value_sum = 0.0
     error_sum = 0.0
     alive: dict[int, _Panel] = {}
+    panels_per_call = max(1, _BATCH_POINTS // 15 ** n)
+    splits_per_call = max(1, panels_per_call // 2)
+    look_ahead = splits_per_call > 1
+    recheck_at = 0  # len(alive) from which the set must be measured again
 
-    def push(lo, hi):
+    def push(box, res):
         nonlocal counter, value_sum, error_sum
-        v, e = _eval_panel(F, n, lo, hi)
-        p = _Panel(lo, hi, v, e, counter)
-        alive[counter] = p
-        heapq.heappush(heap, (-e, counter))
+        if res is None:
+            raise FloatingPointError("non-finite integrand value inside a panel")
+        v, e = res
+        alive[counter] = _Panel(box[0], box[1], v, e)
+        entry = (-e, counter)
+        heapq.heappush(heap, entry)
+        heapq.heappush(fresh, entry)
         value_sum += v
         error_sum += e
         counter += 1
 
+    def one_per_call(boxes):
+        # the unbatched order, in which F's exceptions and non-finite panels
+        # surface: no box is evaluated after one that push will refuse
+        out = []
+        for box in boxes:
+            out += _eval_panels(F, n, [box])
+            if out[-1] is None:
+                break
+        return out
+
+    def must_split():
+        """Pop from `fresh` the worst panel and the next worst panels of the
+        Gladwell set, up to splits_per_call of them.  The panels in kids
+        count first, as they are split anyway.  If the set outgrows the
+        cells left, the run ends capped and greedy would not split it all:
+        then only the worst panel is taken, for the rest of the run.  A split
+        takes one cell and adds at most one panel to the set (two children
+        for their parent), so a set that fits with s cells to spare fits for
+        s/2 more splits, and is not measured again before then."""
+        nonlocal look_ahead, recheck_at
+        neg_err, key = heapq.heappop(fresh)
+        group = [key]
+        if not look_ahead:
+            return group
+        thr = tol * max(abs(value_sum), 1e-300)
+        rest = error_sum - kids_error + neg_err
+        while fresh and rest > thr and len(group) < splits_per_call:
+            neg_err, k = heapq.heappop(fresh)
+            group.append(k)
+            rest += neg_err
+        # cells left once the set's known panels are split
+        spare = max_cells - len(alive) - len(kids) - len(group)
+        if (spare >= 0 and rest > thr and len(fresh) > spare
+                and len(alive) >= recheck_at):
+            # walk the rest of `fresh` in error order: a heap of
+            # (entry, index) holds the frontier of its binary tree
+            frontier = [(fresh[0], 0)]
+            while frontier and rest > thr and spare >= 0:
+                (neg_err, _), i = heapq.heappop(frontier)
+                spare -= 1
+                rest += neg_err
+                for j in (2 * i + 1, 2 * i + 2):
+                    if j < len(fresh):
+                        heapq.heappush(frontier, (fresh[j], j))
+            recheck_at = len(alive) + spare // 2
+        if spare < 0:
+            look_ahead = False
+            for k in group[1:]:
+                heapq.heappush(fresh, (-alive[k].error, k))
+            del group[1:]
+        return group
+
     shape = [len(s) for s in segments]
+    boxes = []
     for flat in range(int(np.prod(shape))):
         idx = []
         rem = flat
@@ -384,7 +486,15 @@ def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
             rem //= shape[ax]
         lo = np.array([segments[ax][idx[ax]][0] for ax in range(n)])
         hi = np.array([segments[ax][idx[ax]][1] for ax in range(n)])
-        push(lo, hi)
+        boxes.append((lo, hi))
+    for start in range(0, len(boxes), panels_per_call):
+        chunk = boxes[start:start + panels_per_call]
+        try:
+            results = _eval_panels(F, n, chunk)
+        except Exception:
+            results = one_per_call(chunk)  # re-raises where it would have
+        for box, res in zip(chunk, results):
+            push(box, res)
 
     history: list[tuple[int, float]] = []
     next_snapshot = 32
@@ -398,22 +508,29 @@ def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
         if len(alive) >= next_snapshot:
             history.append((len(alive), value_sum))
             next_snapshot *= 2
-        while True:
-            _, key = heapq.heappop(heap)
-            if key in alive:
-                break
+        _, key = heapq.heappop(heap)
+        if key not in kids:
+            group = must_split()  # the worst panel first: it is this key
+            halves = [_halves(alive[k]) for k in group]
+            try:
+                results = _eval_panels(F, n, [box for pair in halves for box in pair])
+            except Exception:
+                # a batched call raised: evaluate the worst panel's halves as
+                # one split per call would, and no speculative ones from now on
+                look_ahead = False
+                for k in group[1:]:
+                    heapq.heappush(fresh, (-alive[k].error, k))
+                group, halves = [key], halves[:1]
+                results = one_per_call(halves[0])
+            for i, k in enumerate(group):
+                kids[k] = list(zip(halves[i], results[2 * i:2 * i + 2]))
+                kids_error += alive[k].error
         worst = alive.pop(key)
         value_sum -= worst.value
         error_sum -= worst.error
-        widths = worst.hi - worst.lo
-        ax = int(np.argmax(widths))
-        mid = 0.5 * (worst.lo[ax] + worst.hi[ax])
-        hi_left = worst.hi.copy()
-        hi_left[ax] = mid
-        lo_right = worst.lo.copy()
-        lo_right[ax] = mid
-        push(worst.lo.copy(), hi_left)
-        push(lo_right, worst.hi.copy())
+        kids_error -= worst.error
+        for box, res in kids.pop(key):
+            push(box, res)
 
     ordered = [alive[k] for k in sorted(alive)]
     total = neumaier_sum(p.value for p in ordered)
@@ -497,7 +614,9 @@ def integrate_unit_cube(
 ) -> QuadResult:
     """Integrate ``f`` over (0,1)^n.
 
-    ``f`` maps an (N, n) array of interior points to an (N,) array.  ``sing``
+    ``f`` maps an (N, n) array of interior points to an (N,) array, and must
+    be row-wise: a point's value may not depend on the other rows, because
+    one call mixes the nodes of many panels.  ``sing``
     carries per-face exponent hints (None entries are probed numerically).
     ``breakpoints`` lists per-axis interior coordinates where the integrand is
     only piecewise smooth; initial panels are split there exactly.

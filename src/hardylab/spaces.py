@@ -22,6 +22,7 @@ tail beyond r = 2^40.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,6 +88,11 @@ class RadialFunction:
 
     def power_form(self) -> tuple[float, float] | None:
         """(coeff, gamma) if the profile is exactly coeff * r^gamma."""
+        return self._power_form
+
+    @functools.cached_property
+    def _power_form(self) -> tuple[float, float] | None:
+        """The profile classified on first use, then kept."""
         c = classify(self.profile, 0)
         if c.tag == "monomial":
             return (c.coeff, c.r_exponent)

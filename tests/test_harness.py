@@ -210,12 +210,15 @@ def test_divergent_profile_raises_and_cutoff_reports_divergent():
 def test_operator_norm_call_counts_do_not_grow_with_radii(monkeypatch):
     # a two-slot fuzz draw: apply and classify run a fixed number of times
     # per operator norm, however many radii the outer quadrature samples
-    for trial in range(64):
-        rng = np.random.default_rng([1315, trial])
-        scenario, inputs, _ = harness._random_monomial_scenario(rng, 2, 2, 2)
-        if scenario.kernel.m == 2:
-            break
-    inst = OperatorInstance(scenario, inputs)
+    def draw():
+        # fresh inputs for each norm: an input keeps its power form once
+        # classified, so a second norm on the same inputs classifies less
+        for trial in range(64):
+            rng = np.random.default_rng([1315, trial])
+            scenario, inputs, _ = harness._random_monomial_scenario(rng, 2, 2, 2)
+            if scenario.kernel.m == 2:
+                return OperatorInstance(scenario, inputs)
+
     counts = {"apply": 0, "classify": 0, "radii": 0}
 
     def counting(key, fn):
@@ -240,7 +243,7 @@ def test_operator_norm_call_counts_do_not_grow_with_radii(monkeypatch):
     seen = []
     for tol in (1e-6, 1e-10):
         counts.update(apply=0, classify=0, radii=0)
-        res = operator_radial_lp_norm(inst, outer_tol=tol)
+        res = operator_radial_lp_norm(draw(), outer_tol=tol)
         assert res.status == "finite" and res.value > 0.0
         seen.append(dict(counts))
     assert seen[1]["radii"] > seen[0]["radii"]

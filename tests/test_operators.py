@@ -57,6 +57,25 @@ def test_constant_inputs_give_one():
         assert apply(inst, [x]).value == pytest.approx(1.0, rel=1e-12)
 
 
+def test_power_form_classified_once_per_input(monkeypatch):
+    # each input's profile is classified on its first power_form, then kept
+    from hardylab import spaces
+    calls = []
+    real = spaces.classify
+
+    def counting(e, n):
+        calls.append(e)
+        return real(e, n)
+
+    monkeypatch.setattr(spaces, "classify", counting)
+    inst = OperatorInstance(diagonal_scenario(p=(4, 4)),
+                            (power_profile(-0.2, inner_cutoff=1.0),
+                             power_profile(-0.3, coeff=2.0)))
+    values = {apply(inst, [x]).value for x in np.linspace(1.5, 6.0, 50)}
+    assert len(values) == 50 and all(v > 0.0 for v in values)
+    assert len(calls) == 2
+
+
 def test_identity_profile_halves():
     s = hardy_scenario()
     inst = OperatorInstance(s, (power_profile(1.0),))

@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import quad
+from hardylab.constants import compute_constant
+from hardylab.expr import DomainError
 from hardylab.quad import (_PROBE_H, SingularityHints, _probe_face_exponent,
                            integrate_interval,
                            integrate_positive_orthant, integrate_unit_cube,
                            neumaier_sum)
+
+from conftest import diagonal_scenario
 
 
 def hints1(zero, one=0.0, zero_logs=0):
@@ -188,3 +193,143 @@ def test_probe_uses_every_anchor_in_2d():
 
     assert _probe_face_exponent(f, 2, 0, 0) == pytest.approx(-0.4, abs=1e-3)
     assert seen == [(len(_PROBE_H), 2)] * 3
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation: the same results as one split per integrand call
+# ---------------------------------------------------------------------------
+
+def _one_split_per_call(monkeypatch):
+    # a budget below two panels: each call evaluates one panel at start-up
+    # and then the two halves of the panel greedy splits, and no others
+    monkeypatch.setattr(quad, "_BATCH_POINTS", 1)
+
+
+def _core_results(monkeypatch, run):
+    """Every (total, err, cells, status, history) of _adaptive_cube_fast
+    during run(), batched and then one split per call."""
+    real = quad._adaptive_cube_fast
+    seen = []
+
+    def recording(*args):
+        out = real(*args)
+        seen.append(repr(out))
+        return out
+
+    monkeypatch.setattr(quad, "_adaptive_cube_fast", recording)
+    batched = (repr(run()), list(seen))
+    seen.clear()
+    _one_split_per_call(monkeypatch)
+    single = (repr(run()), list(seen))
+    return batched, single
+
+
+def _bumpy(t):
+    x = t[:, 0]
+    return np.exp(3.0 * x) * np.sin(7.0 * x) + 1.0 / (1.05 - x)
+
+
+@pytest.mark.parametrize("run", [
+    # n = 1, seeded at breakpoints and at the graded map's midpoint
+    lambda: integrate_unit_cube(
+        lambda t: np.where(t[:, 0] < 0.3, 1.0, np.exp(t[:, 0])) * t[:, 0] ** -0.7,
+        1, sing=SingularityHints(zero=(-0.7,), one=(-0.2,)), tol=1e-12,
+        breakpoints=[[0.3, 0.77]]),
+    # n = 2 with graded faces
+    lambda: integrate_unit_cube(
+        lambda t: t[:, 0] ** -0.6 * t[:, 1] ** -0.3 * (1.0 + t[:, 0] * t[:, 1]),
+        2, sing=SingularityHints(zero=(-0.6, -0.3), one=(0.0, 0.0))),
+    # n = 3, faces probed
+    lambda: integrate_unit_cube(lambda t: (t[:, 0] * t[:, 1] + t[:, 2]) ** -0.5, 3),
+    # capped at 8 cells, in 1-D and 2-D
+    lambda: quad._adaptive_cube_fast(_bumpy, 1, 1e-14, 8, [[]]),
+    lambda: integrate_unit_cube(lambda t: np.sin(40.0 * t[:, 0] * t[:, 1]), 2,
+                                sing=SingularityHints.regular(2), max_cells=8),
+    # capped at 300 cells by a log-divergent face
+    lambda: integrate_unit_cube(
+        lambda t: 1.0 / (t[:, 0] * np.log(1.0 / t[:, 0]) ** 0.9), 1,
+        sing=SingularityHints.regular(1), max_cells=300),
+    # divergence scans
+    lambda: quad._restricted_value(lambda t: 1.0 / t[:, 0], 1, 2.0 ** -24),
+    lambda: quad._restricted_value(lambda t: (t[:, 0] * t[:, 1]) ** -0.9, 2, 2.0 ** -24),
+], ids=["n1-breakpoints", "n2-graded", "n3-probed", "n1-capped8", "n2-capped8",
+        "n1-capped300", "scan-n1", "scan-n2"])
+def test_batched_core_is_bit_identical_to_one_split_per_call(monkeypatch, run):
+    batched, single = _core_results(monkeypatch, run)
+    assert batched[1]  # the adaptive core ran
+    assert batched == single
+
+
+def _poisoned(bad_x, raise_error):
+    """_bumpy with NaN (or a DomainError) at the one point bad_x."""
+    hits = []
+
+    def f(t):
+        bad = t[:, 0] == bad_x
+        if bad.any():
+            hits.append(len(t))
+            if raise_error:
+                raise DomainError("poisoned point")
+        return np.where(bad, np.nan, _bumpy(t))
+    return f, hits
+
+
+# Greedy's first 7 splits under max_cells = 8 leave [0.75, 0.875] whole; its
+# 8th splits it.  27/32 is the middle node of its right half, and no node of
+# a panel greedy uses before then.
+_SPECULATIVE_NODE = 0.84375
+
+
+@pytest.mark.parametrize("raise_error", [False, True], ids=["nan", "domain-error"])
+def test_speculative_halves_never_change_a_capped_result(monkeypatch, raise_error):
+    f, hits = _poisoned(_SPECULATIVE_NODE, raise_error)
+    batched = quad._adaptive_cube_fast(f, 1, 1e-14, 8, [[]])
+    assert hits  # the poisoned half was evaluated ahead of greedy
+    _one_split_per_call(monkeypatch)
+    hits.clear()
+    single = quad._adaptive_cube_fast(f, 1, 1e-14, 8, [[]])
+    assert not hits
+    assert repr(batched) == repr(single)
+    assert batched[2:4] == (8, "max-cells-reached")
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "one-split"])
+def test_poison_greedy_reaches_keeps_its_outcome(monkeypatch, batched):
+    if not batched:
+        _one_split_per_call(monkeypatch)
+    f, _ = _poisoned(_SPECULATIVE_NODE, raise_error=False)
+    with pytest.raises(FloatingPointError):
+        quad._adaptive_cube_fast(f, 1, 1e-14, 9, [[]])
+    res = integrate_unit_cube(f, 1, sing=SingularityHints.regular(1), tol=1e-14,
+                              max_cells=9)
+    assert res.divergent
+    f, _ = _poisoned(_SPECULATIVE_NODE, raise_error=True)
+    with pytest.raises(DomainError):
+        integrate_unit_cube(f, 1, sing=SingularityHints.regular(1), tol=1e-14,
+                            max_cells=9)
+
+
+def test_batching_cuts_integrand_calls_not_points(monkeypatch):
+    # the two-slot diagonal constant 16/9 by forced quadrature: a converging
+    # 2-D integral of a monomial with graded faces
+    real = quad._eval_panels
+    counts = []
+
+    def counting(F, n, boxes):
+        counts[-1][0] += 1
+        counts[-1][1] += len(boxes) * 15 ** n
+        return real(F, n, boxes)
+
+    monkeypatch.setattr(quad, "_eval_panels", counting)
+    values = []
+    for batched in (True, False):
+        if not batched:
+            _one_split_per_call(monkeypatch)
+        counts.append([0, 0])
+        c = compute_constant("lebesgue", diagonal_scenario(p=(4, 4)),
+                             force_quadrature=True)
+        values.append(repr(c))
+    (calls, points), (calls_single, points_single) = counts
+    assert values[0] == values[1]
+    assert points == points_single
+    assert 5 * calls <= calls_single
