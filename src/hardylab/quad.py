@@ -31,6 +31,7 @@ __all__ = [
     "integrate_unit_cube",
     "integrate_positive_orthant",
     "integrate_interval",
+    "integrate_intervals",
     "neumaier_sum",
 ]
 
@@ -248,20 +249,29 @@ _PROBE_ANCHORS = (0.41234567, 0.57891234, 0.73456789)
 _PROBE_H = tuple(2.0 ** (-k) for k in range(8, 19, 2))
 
 
-def _probe_face_exponent(f, n: int, axis: int, face: int) -> float:
-    """Estimate a in f ~ t_axis^a near the given face by log-log slope,
-    the median over the anchors of the other coordinates (in 1-D there are
-    none, so one anchor's points are all there is to probe)."""
-    slopes = []
+def _probe_points(n: int, axis: int, face: int) -> list[np.ndarray]:
+    """The probe points of one face, an array per anchor of the other
+    coordinates (in 1-D there are none, so one anchor's points are all
+    there is to probe)."""
+    out = []
     for anchor in _PROBE_ANCHORS if n > 1 else _PROBE_ANCHORS[:1]:
         pts = np.full((len(_PROBE_H), n), anchor)
         h = np.array(_PROBE_H)
         pts[:, axis] = h if face == 0 else 1.0 - h
-        try:
-            with np.errstate(all="ignore"):
-                vals = np.abs(np.asarray(f(pts), dtype=float))
-        except Exception:
+        out.append(pts)
+    return out
+
+
+def _face_exponent(anchor_values) -> float:
+    """Estimate a in f ~ t_axis^a near a face by log-log slope, the median
+    over the anchors, from each anchor's probe values in turn (None where
+    evaluating them raised)."""
+    h = np.array(_PROBE_H)
+    slopes = []
+    for vals in anchor_values:
+        if vals is None:
             return -2.0  # treat evaluation failure at the face as suspicious
+        vals = np.abs(vals)
         if not np.all(np.isfinite(vals)):
             return -2.0
         mask = vals > 1e-290
@@ -274,12 +284,50 @@ def _probe_face_exponent(f, n: int, axis: int, face: int) -> float:
     return float(statistics.median(slopes))
 
 
-def _resolve_hints(f, n: int, hints: SingularityHints | None):
-    """Fill in unknown face exponents by probing; returns (hints, suspicious)
-    where suspicious flags probed exponents at or below -1."""
-    if hints is None:
-        hints = SingularityHints.unknown(n)
-    hints = hints.normalized(n)
+def _probe_face_exponent(f, n: int, axis: int, face: int) -> float:
+    """Estimate a in f ~ t_axis^a near the given face, one call of f per
+    anchor, and no call after an anchor that settles the estimate."""
+    def anchor_values():
+        for pts in _probe_points(n, axis, face):
+            try:
+                with np.errstate(all="ignore"):
+                    vals = np.asarray(f(pts), dtype=float)
+            except Exception:
+                vals = None
+            yield vals
+
+    return _face_exponent(anchor_values())
+
+
+def _probe_family(f, n: int, faces):
+    """Probe the (member, axis, face) faces of a family f(t, k) with one call
+    of f; returns {face: exponent estimate}, or None if the call raised."""
+    blocks = [_probe_points(n, axis, face) for _, axis, face in faces]
+    if not blocks:
+        return {}
+    pts = np.concatenate([p for block in blocks for p in block])
+    owner = np.concatenate([np.full(len(p), k) for (k, _, _), block in zip(faces, blocks)
+                            for p in block])
+    try:
+        with np.errstate(all="ignore"):
+            vals = np.asarray(f(pts, owner), dtype=float)
+    except Exception:
+        return None
+    out = {}
+    start = 0
+    for key, block in zip(faces, blocks):
+        per_anchor = []
+        for p in block:
+            per_anchor.append(vals[start:start + len(p)])
+            start += len(p)
+        out[key] = _face_exponent(per_anchor)
+    return out
+
+
+def _resolve_hints(hints: SingularityHints, estimate):
+    """Fill in the unknown face exponents of normalized hints with
+    estimate(axis, face); returns (hints, suspicious) where suspicious flags
+    estimates at or below -1."""
     zero = list(hints.zero)
     one = list(hints.one)
     suspicious = False
@@ -287,13 +335,13 @@ def _resolve_hints(f, n: int, hints: SingularityHints | None):
         # small safety margin toward harder grading, clamped to integrable
         return max(min(a - 0.05, 0.0), -0.95) if a < 0.25 else 0.0
 
-    for i in range(n):
+    for i in range(len(zero)):
         if zero[i] is None:
-            a = _probe_face_exponent(f, n, i, 0)
+            a = estimate(i, 0)
             suspicious |= a <= -0.98
             zero[i] = chew(a)
         if one[i] is None:
-            a = _probe_face_exponent(f, n, i, 1)
+            a = estimate(i, 1)
             suspicious |= a <= -0.98
             one[i] = chew(a)
     resolved = SingularityHints(zero=tuple(zero), one=tuple(one),
@@ -335,26 +383,30 @@ def _tensor_rule(n: int):
 _BATCH_POINTS = 8192
 
 
-def _eval_panels(F, n, boxes):
-    """Kronrod value and error estimate of each (lo, hi) box, from one call
-    of F on all their nodes.  A box with a non-finite integrand value gets
-    None: the caller raises only if it uses that box."""
-    pts01, wk, wg = _tensor_rule(n)
+def _panel_nodes(n, boxes):
+    """The Kronrod nodes of each (lo, hi) box, an (boxes, 15^n, n) array, and
+    each box's half-volume."""
+    pts01 = _tensor_rule(n)[0]
     lo = np.array([box[0] for box in boxes])
     hi = np.array([box[1] for box in boxes])
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     # mid + half * node, a coordinate at a time (long inner loops)
-    pts = np.empty((len(boxes), len(wk), n))
+    pts = np.empty((len(boxes), len(pts01), n))
     for ax, nodes in enumerate(pts01.T):
         pts[:, :, ax] = mid[:, ax, None] + half[:, ax, None] * nodes
-    with np.errstate(all="ignore"):
-        vals = np.asarray(F(pts.reshape(-1, n)), dtype=float).reshape(len(boxes), len(wk))
+    return pts, np.prod(half, axis=1).tolist()
+
+
+def _panel_sums(n, vals, vols):
+    """Kronrod value and error estimate of each box from its row of integrand
+    values.  A box with a non-finite value gets None: the caller raises only
+    if it uses that box."""
+    _, wk, wg = _tensor_rule(n)
     out = []
     # a dot per row, not one vals @ wk: the matrix product rounds differently
     # in the last bit, and a panel's value must not depend on its batch
-    for row, vol, finite in zip(vals, np.prod(half, axis=1).tolist(),
-                                np.isfinite(vals).all(axis=1).tolist()):
+    for row, vol, finite in zip(vals, vols, np.isfinite(vals).all(axis=1).tolist()):
         if not finite:
             out.append(None)
             continue
@@ -362,6 +414,15 @@ def _eval_panels(F, n, boxes):
         vg = float(np.dot(wg, row)) * vol
         out.append((vk, max(abs(vk - vg), abs(vk) * 5e-16)))
     return out
+
+
+def _eval_panels(F, n, boxes):
+    """_panel_sums of each (lo, hi) box, from one call of F on all their
+    nodes."""
+    pts, vols = _panel_nodes(n, boxes)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(F(pts.reshape(-1, n)), dtype=float)
+    return _panel_sums(n, vals.reshape(len(boxes), -1), vols)
 
 
 def _halves(p: _Panel):
@@ -375,8 +436,11 @@ def _halves(p: _Panel):
     return [(p.lo, hi_left), (lo_right, p.hi)]  # boxes are never written to
 
 
-def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
-    """Adaptive refinement over [0,1]^n with O(1) running totals.
+def _refine(n, tol, max_cells, seeds):
+    """Adaptive refinement over [0,1]^n with O(1) running totals, as a
+    generator: it yields the (lo, hi) boxes it needs evaluated and is sent
+    their _panel_sums, or thrown the exception evaluating them raised.  It
+    returns (total, err, cells, status, history).
 
     The panel list keeps deterministic keys so the final total is recomputed
     with compensated summation in key order, making the result independent of
@@ -384,14 +448,14 @@ def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
 
     Refinement is greedy, one split at a time: the worst panel is halved
     along its widest axis.  Only the evaluation is batched.  When the worst
-    panel's halves are not evaluated yet, one call of F of at most
-    _BATCH_POINTS points evaluates them together with the halves of the next
+    panel's halves are not evaluated yet, one request of at most
+    _BATCH_POINTS points asks for them together with the halves of the next
     worst panels that any converging run must split too (Gladwell's rule:
     the fewest worst panels whose errors keep the total above tolerance);
     those are kept until greedy pops their panel.  Results are those of one
-    split per call, provided F is row-wise: a non-finite half raises only
-    when greedy uses it, and a batched call that raises is replayed one
-    panel per call.
+    split per request, provided the integrand is row-wise: a non-finite half
+    raises only when greedy uses it, and a batched request whose evaluation
+    raises is replayed one panel per request.
     """
     segments = []
     for ax in range(n):
@@ -425,11 +489,12 @@ def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
         counter += 1
 
     def one_per_call(boxes):
-        # the unbatched order, in which F's exceptions and non-finite panels
-        # surface: no box is evaluated after one that push will refuse
+        # the unbatched order, in which the integrand's exceptions and
+        # non-finite panels surface: no box is requested after one that push
+        # will refuse
         out = []
         for box in boxes:
-            out += _eval_panels(F, n, [box])
+            out += yield [box]
             if out[-1] is None:
                 break
         return out
@@ -490,9 +555,9 @@ def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
     for start in range(0, len(boxes), panels_per_call):
         chunk = boxes[start:start + panels_per_call]
         try:
-            results = _eval_panels(F, n, chunk)
+            results = yield chunk
         except Exception:
-            results = one_per_call(chunk)  # re-raises where it would have
+            results = yield from one_per_call(chunk)  # re-raises where it would have
         for box, res in zip(chunk, results):
             push(box, res)
 
@@ -513,15 +578,15 @@ def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
             group = must_split()  # the worst panel first: it is this key
             halves = [_halves(alive[k]) for k in group]
             try:
-                results = _eval_panels(F, n, [box for pair in halves for box in pair])
+                results = yield [box for pair in halves for box in pair]
             except Exception:
-                # a batched call raised: evaluate the worst panel's halves as
-                # one split per call would, and no speculative ones from now on
+                # a batched request raised: ask for the worst panel's halves
+                # as one split per call would, and no speculative ones from now on
                 look_ahead = False
                 for k in group[1:]:
                     heapq.heappush(fresh, (-alive[k].error, k))
                 group, halves = [key], halves[:1]
-                results = one_per_call(halves[0])
+                results = yield from one_per_call(halves[0])
             for i, k in enumerate(group):
                 kids[k] = list(zip(halves[i], results[2 * i:2 * i + 2]))
                 kids_error += alive[k].error
@@ -536,6 +601,98 @@ def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
     total = neumaier_sum(p.value for p in ordered)
     err = neumaier_sum(p.error for p in ordered)
     return total, abs(err), len(alive), status, history
+
+
+def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
+    """One refinement run (see _refine), each request evaluated by one call
+    of F; F's exceptions reach the run where its request was made."""
+    run = _refine(n, tol, max_cells, seeds)
+    try:
+        boxes = next(run)
+        while True:
+            try:
+                results = _eval_panels(F, n, boxes)
+            except Exception as exc:
+                boxes = run.throw(exc)
+            else:
+                boxes = run.send(results)
+    except StopIteration as done:
+        return done.value
+
+
+def _kept(exc: Exception) -> Exception:
+    """exc, to be kept as a member's outcome, with the tracebacks of it and
+    of the exceptions it chains dropped.  A frame links to its caller, so a
+    kept traceback would close a reference cycle through the frame that
+    keeps it, and the panels its frames hold would wait for the garbage
+    collector.  Raised again, the exception gets a new traceback there."""
+    link = exc
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__context__
+    return exc
+
+
+# the most integrand points the live runs of a lockstep family may hold: the
+# boxes each has had evaluated plus those it asks for.  A run past it, in
+# member order, waits for the runs before it to finish (the first live run
+# never waits), so the panels kept and the arrays of one call stay near
+# those of a loop over the members.  Without it a grid of 61 integrals that
+# all run to the cell cap held 61 of them: cmo_norm at tol 1e-15 peaked at
+# 263 MB against 52 MB one radius at a time.  A log CMO grid stays below it.
+_LOCKSTEP_POINTS = 8 * _BATCH_POINTS
+
+
+def _lockstep(runs: dict, evaluate, alone, budget: int) -> dict:
+    """Drive refinement runs (see _refine), keyed by member, together: each
+    round makes one call evaluate({member: boxes}) -> {member: sums} for the
+    requests of the live runs, in member order, whose evaluated and
+    requested boxes fit in budget.  If that call raises, each request is
+    evaluated alone(member, boxes), so that a run sees only the exceptions
+    it would see by itself.  Returns {member: the run's result, or the
+    exception it raised}.  A run that raises ends the runs of the members
+    after it, which a loop over the members would not reach."""
+    out = {}
+    asks = {}
+    held = dict.fromkeys(runs, 0)  # boxes evaluated for each run
+
+    def step(k, resume, arg):
+        try:
+            asks[k] = resume(arg)
+        except StopIteration as done:
+            out[k] = done.value
+        except Exception as exc:  # the member's own outcome
+            out[k] = _kept(exc)
+
+    for k, run in runs.items():
+        step(k, run.send, None)
+    while asks:
+        todo = {}
+        used = 0
+        for k in sorted(asks):
+            used += held[k] + len(asks[k])
+            if todo and used > budget:
+                break  # this run and the later ones wait
+            todo[k] = asks.pop(k)
+            held[k] += len(todo[k])
+        try:
+            results = evaluate(todo)
+        except Exception as exc:
+            results = dict.fromkeys(todo, _kept(exc))
+            if len(todo) > 1:
+                for k, boxes in todo.items():
+                    try:
+                        results[k] = alone(k, boxes)
+                    except Exception as own:
+                        results[k] = _kept(own)
+        for k in sorted(results):
+            res = results[k]
+            step(k, runs[k].throw if isinstance(res, Exception) else runs[k].send, res)
+            if isinstance(out.get(k), Exception):
+                for j in [j for j in asks if j > k]:
+                    del asks[j]  # the runs after it are not resumed
+                break
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +760,53 @@ def _build_transform(n, hints: SingularityHints, breakpoints):
     return maps, seeds
 
 
+_DEFAULT_MAX_CELLS = {1: 20000, 2: 20000, 3: 60000}
+
+
+def _divergent_result(cells: int = 0) -> QuadResult:
+    return QuadResult(math.inf, math.inf, math.inf, "divergent", cells)
+
+
+def _hints_for(sing: SingularityHints | None, n: int):
+    """Normalized hints (every face unknown when none are given), and
+    whether they declare a non-integrable face exponent."""
+    hints = (sing if sing is not None else SingularityHints.unknown(n)).normalized(n)
+    declared = any(a is not None and a <= -1.0 for a in (*hints.zero, *hints.one))
+    return hints, declared
+
+
+def _graded(maps, u):
+    """The graded points t of unit-cube points u, and the maps' jacobian."""
+    cols = [m.forward(u[:, i]) for i, m in enumerate(maps)]
+    jac = np.ones(u.shape[0])
+    for i, m in enumerate(maps):
+        jac *= m.derivative(u[:, i])
+    return np.stack(cols, axis=1), jac
+
+
+def _graded_integrand(f, maps):
+    """f in the graded coordinates of maps, times the jacobian."""
+    def F(u):
+        t, jac = _graded(maps, np.asarray(u, dtype=float))
+        return np.asarray(f(t), dtype=float) * jac
+    return F
+
+
+def _conclude(f, n: int, run) -> QuadResult:
+    """The result of a refinement run of f: a capped run whose partial
+    values grew tenfold, or whose divergence scan says so, is divergent."""
+    total, err, cells, status, history = run
+    if status == "max-cells-reached":
+        grew = (
+            len(history) >= 3
+            and abs(history[-1][1]) > 10.0 * max(abs(history[-3][1]), 1e-300)
+        )
+        if grew or _divergence_scan(f, n):
+            return _divergent_result(cells)
+    rel = err / max(abs(total), 1e-300)
+    return QuadResult(total, err, rel, status, cells)
+
+
 def integrate_unit_cube(
     f,
     n: int,
@@ -627,47 +831,131 @@ def integrate_unit_cube(
         tol = _DEFAULT_TOLS.get(n, _QMC_TOL)
 
     # symbolic divergence: a declared non-integrable face exponent
-    declared = sing.normalized(n) if sing is not None else None
-    if declared is not None:
-        for a in (*declared.zero, *declared.one):
-            if a is not None and a <= -1.0:
-                return QuadResult(math.inf, math.inf, math.inf, "divergent", 0)
+    hints, declared = _hints_for(sing, n)
+    if declared:
+        return _divergent_result()
 
-    hints, suspicious = _resolve_hints(f, n, sing)
+    hints, suspicious = _resolve_hints(hints, functools.partial(_probe_face_exponent, f, n))
     maps, seeds = _build_transform(n, hints, breakpoints)
-
-    def F(u):
-        u = np.asarray(u, dtype=float)
-        cols = [m.forward(u[:, i]) for i, m in enumerate(maps)]
-        jac = np.ones(u.shape[0])
-        for i, m in enumerate(maps):
-            jac *= m.derivative(u[:, i])
-        t = np.stack(cols, axis=1)
-        return np.asarray(f(t), dtype=float) * jac
+    F = _graded_integrand(f, maps)
 
     if suspicious and _divergence_scan(f, n):
-        return QuadResult(math.inf, math.inf, math.inf, "divergent", 0)
+        return _divergent_result()
 
     if n >= 4:
         return _qmc_estimate(F, n, tol, seed)
 
     if max_cells is None:
-        max_cells = 20000 if n <= 2 else 60000
+        max_cells = _DEFAULT_MAX_CELLS[n]
 
     try:
-        total, err, cells, status, history = _adaptive_cube_fast(F, n, tol, max_cells, seeds)
+        run = _adaptive_cube_fast(F, n, tol, max_cells, seeds)
     except FloatingPointError:
-        return QuadResult(math.inf, math.inf, math.inf, "divergent", 0)
+        return _divergent_result()
+    return _conclude(f, n, run)
 
-    if status == "max-cells-reached":
-        grew = (
-            len(history) >= 3
-            and abs(history[-1][1]) > 10.0 * max(abs(history[-3][1]), 1e-300)
-        )
-        if grew or _divergence_scan(f, n):
-            return QuadResult(math.inf, math.inf, math.inf, "divergent", cells)
-    rel = err / max(abs(total), 1e-300)
-    return QuadResult(total, err, rel, status, cells)
+
+# ---------------------------------------------------------------------------
+# families of integrals in lockstep
+# ---------------------------------------------------------------------------
+
+def _family_panels(f, n: int, maps: dict):
+    """evaluate({member: boxes}) for _lockstep: one call of the family f(t, k)
+    on the graded nodes of every member's boxes.  Members whose axis maps
+    agree are graded together, so that each map keeps a scalar exponent
+    (numpy rounds some scalar powers, such as squares, differently from the
+    same power with an array exponent)."""
+    groups: dict[tuple, list] = {}
+    for k, ms in maps.items():
+        groups.setdefault(tuple((m.k0, m.k1) for m in ms), []).append(k)
+    group_of = {k: g for g, ks in enumerate(groups.values()) for k in ks}
+    group_maps = [maps[ks[0]] for ks in groups.values()]
+
+    def evaluate(asks):
+        owners = list(asks)
+        boxes = [box for k in owners for box in asks[k]]
+        pts, vols = _panel_nodes(n, boxes)
+        u = pts.reshape(-1, n)
+        rows_of = [len(asks[k]) * pts.shape[1] for k in owners]
+        member = np.repeat(owners, rows_of)
+        group = np.repeat([group_of[k] for k in owners], rows_of)
+        t = np.empty_like(u)
+        jac = np.empty(len(u))
+        with np.errstate(all="ignore"):
+            for g, ms in enumerate(group_maps):
+                rows = group == g
+                if rows.any():
+                    t[rows], jac[rows] = _graded(ms, u[rows])
+            vals = np.asarray(f(t, member), dtype=float) * jac
+        sums = _panel_sums(n, vals.reshape(len(boxes), -1), vols)
+        out = {}
+        start = 0
+        for k in owners:
+            out[k] = sums[start:start + len(asks[k])]
+            start += len(asks[k])
+        return out
+
+    return evaluate
+
+
+def _integrate_family(f, n: int, members: list, tol: float) -> list:
+    """integrate_unit_cube (n <= 3) of each member of the row-wise family
+    f(t, k), with members[k] = (sing, breakpoints, max_cells), all in
+    lockstep; the outcomes are those of integrate_intervals."""
+    def alone(k):
+        return lambda t: f(t, np.full(len(t), k))
+
+    hints = [_hints_for(sing, n) for sing, _, _ in members]
+    count = next((k + 1 for k, (_, declared) in enumerate(hints) if declared), len(members))
+    # the faces of every member probed with one call
+    estimates = _probe_family(f, n, [
+        (k, i, face) for k, (h, _) in enumerate(hints[:count]) for i in range(n)
+        for face in (0, 1) if (h.zero, h.one)[face][i] is None])
+    decided, maps, runs = {}, {}, {}
+    for k in range(count):
+        h, declared = hints[k]
+        if declared:
+            decided[k] = _divergent_result()
+            break
+        if estimates is None:  # the combined probe raised: probe alone
+            estimate = functools.partial(_probe_face_exponent, alone(k), n)
+        else:
+            estimate = lambda axis, face, k=k: estimates[k, axis, face]
+        h, suspicious = _resolve_hints(h, estimate)
+        maps[k], seeds = _build_transform(n, h, members[k][1])
+        if suspicious:
+            try:
+                diverges = _divergence_scan(alone(k), n)
+            except Exception as exc:
+                decided[k] = _kept(exc)
+                break
+            if diverges:
+                decided[k] = _divergent_result()
+                break
+        cap = members[k][2]
+        runs[k] = _refine(n, tol, _DEFAULT_MAX_CELLS[n] if cap is None else cap, seeds)
+    runs = _lockstep(
+        runs, _family_panels(f, n, {k: maps[k] for k in runs}),
+        lambda k, boxes: _eval_panels(_graded_integrand(alone(k), maps[k]), n, boxes),
+        _LOCKSTEP_POINTS // 15 ** n)
+
+    out = []
+    for k in range(count):
+        if k in decided:
+            res = decided[k]
+        elif isinstance(runs[k], FloatingPointError):
+            res = _divergent_result()
+        elif isinstance(runs[k], Exception):
+            res = runs[k]
+        else:
+            try:
+                res = _conclude(alone(k), n, runs[k])
+            except Exception as exc:
+                res = _kept(exc)
+        out.append(res)
+        if isinstance(res, Exception) or res.divergent:
+            break
+    return out
 
 
 def _qmc_estimate(F, n: int, tol: float, seed: int) -> QuadResult:
@@ -720,6 +1008,20 @@ def integrate_positive_orthant(
     return integrate_unit_cube(g, n, sing=hints, tol=tol, max_cells=max_cells, seed=seed)
 
 
+def _unit_interval(a: float, b: float, sing_a: tuple | None = None,
+                   sing_b: tuple | None = None, breakpoints: list | None = None,
+                   max_cells: int | None = None):
+    """(width, hints, breakpoints, max_cells) of (a, b) mapped onto (0, 1)."""
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise ValueError("need finite a < b")
+    width = b - a
+    ea, la = sing_a if sing_a is not None else (None, 0)
+    eb, lb = sing_b if sing_b is not None else (None, 0)
+    hints = SingularityHints(zero=(ea,), one=(eb,), zero_logs=(la,), one_logs=(lb,))
+    inner = [(x - a) / width for x in (breakpoints or []) if a < x < b]
+    return width, hints, [inner], max_cells
+
+
 def integrate_interval(
     f,
     a: float,
@@ -735,18 +1037,44 @@ def integrate_interval(
     sing_a/sing_b are (exponent, log_count) pairs describing the integrand
     near the respective endpoint, in the local distance variable.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and b > a):
-        raise ValueError("need finite a < b")
-    width = b - a
-    ea, la = sing_a if sing_a is not None else (None, 0)
-    eb, lb = sing_b if sing_b is not None else (None, 0)
-    hints = SingularityHints(zero=(ea,), one=(eb,), zero_logs=(la,), one_logs=(lb,))
+    width, hints, inner, max_cells = _unit_interval(a, b, sing_a, sing_b,
+                                                    breakpoints, max_cells)
 
     def g(u):
         x = a + width * u[:, 0]
         return np.asarray(f(x), dtype=float) * width
 
-    inner = [(x - a) / width for x in (breakpoints or []) if a < x < b]
-    res = integrate_unit_cube(g, 1, sing=hints, tol=tol, breakpoints=[inner],
-                              max_cells=max_cells)
-    return res
+    return integrate_unit_cube(g, 1, sing=hints, tol=tol, breakpoints=inner,
+                               max_cells=max_cells)
+
+
+def integrate_intervals(f, members: list, tol: float = 1e-10) -> list:
+    """integrate_interval for every member of a family of integrands, in
+    lockstep.
+
+    ``f(x, k)`` maps an (N,) array of points and the (N,) array of the
+    members they belong to onto the members' integrands, and must be
+    row-wise.  ``members[k]`` holds member k's keyword arguments of
+    integrate_interval: ``a`` and ``b``, and optionally ``sing_a``,
+    ``sing_b``, ``breakpoints`` and ``max_cells``.  One call of f probes the
+    unknown faces of every member, and then each refinement round makes one
+    call of f for the panels every live member asks for.  Each member keeps
+    its own greedy schedule, so its result is bit for bit that of
+    integrate_interval(lambda x: f(x, k), tol=tol, **members[k]).
+
+    Returns the members' results in order, as a loop over them would give
+    them: the list ends at the first divergent member, or at the first one
+    whose integration raised, with the exception (without its traceback)
+    in place of its result.  The live members hold at most
+    _LOCKSTEP_POINTS points of evaluated panels between them; past that,
+    later members wait for earlier ones.
+    """
+    units = [_unit_interval(**m) for m in members]
+    lo = np.array([m["a"] for m in members], dtype=float)
+    width = np.array([w for w, _, _, _ in units])
+
+    def g(u, k):
+        x = lo[k] + width[k] * u[:, 0]
+        return np.asarray(f(x, k), dtype=float) * width[k]
+
+    return _integrate_family(g, 1, [unit[1:] for unit in units], tol)

@@ -31,7 +31,7 @@ import numpy as np
 from . import expr as _expr
 from .expr import Expr, classify
 from .kernels import Scenario, _as_fraction
-from .quad import QuadResult, integrate_interval
+from .quad import integrate_intervals
 from .weights import DivergentWeightError, Weight, sphere_surface_area
 
 __all__ = [
@@ -127,8 +127,9 @@ class NormResult:
 
     method is 'closed-form' or 'radial-quadrature'; status is 'finite',
     'divergent' (value -> inf) or 'unreliable' (a Morrey/CMO supremum that
-    is still growing at the radius-grid boundary).  For Morrey/CMO norms the
-    per-radius brackets are recorded.
+    is still growing at the radius-grid boundary, or a quadrature that hit
+    its cell cap).  For Morrey/CMO norms the per-radius brackets are
+    recorded.
     """
 
     value: float
@@ -151,86 +152,106 @@ def _divergent(method: str) -> NormResult:
 # radial integrals with analytic tails
 # ---------------------------------------------------------------------------
 
-def _radial_piece(fn, lo: float, hi: float, zero_exp: float | None,
-                  zero_logs: int, tol: float, breakpoints=()) -> QuadResult:
-    """integral of fn(r) dr over (lo, hi), finite hi; singular only at lo = 0."""
-    sing_a = (zero_exp, zero_logs) if lo == 0.0 else (0.0, 0)
-    return integrate_interval(fn, lo, hi, sing_a=sing_a, sing_b=(0.0, 0),
-                              tol=tol, breakpoints=list(breakpoints))
+def _radial_integrals(fn, members, zero_exp: float | None = None,
+                      zero_logs: int = 0, tail_exp: float | None = None,
+                      tol: float = 1e-10) -> tuple[list, list]:
+    """integral of fn(r, k) dr over (lo, hi) for every member k = (lo, hi,
+    breakpoints) of a radius grid, hi possibly infinite, all in lockstep.
 
+    fn must be row-wise: k is the array of the members its radii belong to.
+    Each member is split at r = 1: (lo, 1) in r, and (1, 2^40) in the
+    substitution r = 2^u.  zero_exp: algebraic exponent of fn at r -> 0
+    (None = probe).  tail_exp: the power-decay exponent sigma with fn ~ c
+    r^sigma at infinity, if known; the tail beyond 2^40 is then added
+    analytically.
 
-def _log_radius_piece(fn, lo: float, hi: float, tol: float,
-                      breakpoints=()) -> QuadResult:
-    """integral of fn(r) dr over [lo, hi] in the substitution r = 2^u."""
+    Returns (results, raised): each member's (value, error, status) in
+    order, status 'finite', 'unreliable' (a piece hit the quadrature's cell
+    cap) or 'divergent', and the exception of the member that raised, if
+    any.  As in a loop over the members, the results end at the first
+    divergent member, or just before the first one whose integration
+    raised.  Callers raise raised.pop(), so that no frame the exception
+    passes through still holds it (that would be a reference cycle).
+    """
+    pieces, owner, in_log2 = [], [], []
+    count = [0] * len(members)
+    for k, (lo, hi, breakpoints) in enumerate(members):
+        unit_hi = min(hi, 1.0)
+        if lo < unit_hi:
+            sing_a = (zero_exp, zero_logs) if lo == 0.0 else (0.0, 0)
+            pieces.append(dict(a=lo, b=unit_hi, sing_a=sing_a, sing_b=(0.0, 0),
+                               breakpoints=[b for b in breakpoints if lo < b < unit_hi]))
+            owner.append(k)
+            in_log2.append(False)
+            count[k] += 1
+        head_lo, head_hi = max(lo, 1.0), min(hi, _TAIL_RADIUS)
+        if hi > 1.0 and head_hi > head_lo:
+            pieces.append(dict(a=math.log2(head_lo), b=math.log2(head_hi),
+                               breakpoints=[math.log2(b) for b in breakpoints
+                                            if head_lo < b < head_hi]))
+            owner.append(k)
+            in_log2.append(True)
+            count[k] += 1
+    owner = np.array(owner, dtype=int)
+    in_log2 = np.array(in_log2, dtype=bool)
     ln2 = math.log(2.0)
 
-    def g(u):
-        r = 2.0 ** u
-        return fn(r) * r * ln2
+    def g(x, j):
+        r = np.where(in_log2[j], 2.0 ** x, x)
+        v = fn(r, owner[j])
+        return np.where(in_log2[j], v * r * ln2, v)
 
-    return integrate_interval(g, math.log2(lo), math.log2(hi), tol=tol,
-                              breakpoints=[math.log2(b) for b in breakpoints if lo < b < hi])
-
-
-def _radial_integral(fn, lo: float, hi: float, zero_exp: float | None = None,
-                     zero_logs: int = 0, tail_exp: float | None = None,
-                     tol: float = 1e-10, breakpoints=()) -> tuple[float, float, str]:
-    """integral of fn over (lo, hi), hi possibly infinite.
-
-    zero_exp: algebraic exponent of fn at r -> 0 (None = probe).
-    tail_exp: the power-decay exponent sigma with fn ~ c r^sigma at infinity,
-    if known; the tail beyond 2^40 is then added analytically.  Returns
-    (value, error, status).
-    """
-    value = 0.0
-    err = 0.0
-    if hi <= lo:
-        return (0.0, 0.0, "finite")
-    unit_hi = min(hi, 1.0)
-    if lo < unit_hi:
-        res = _radial_piece(fn, lo, unit_hi, zero_exp, zero_logs, tol,
-                            [b for b in breakpoints if lo < b < unit_hi])
-        if res.divergent:
-            return (math.inf, math.inf, "divergent")
-        value += res.value
-        err += res.abs_error_estimate
-    if hi > 1.0:
-        head_lo = max(lo, 1.0)
-        head_hi = min(hi, _TAIL_RADIUS)
-        if head_hi > head_lo:
-            res = _log_radius_piece(fn, head_lo, head_hi, tol,
-                                    [b for b in breakpoints if head_lo < b < head_hi])
+    results = iter(integrate_intervals(g, pieces, tol=tol) if pieces else ())
+    out = []
+    for k, (lo, hi, _) in enumerate(members):
+        value = 0.0
+        err = 0.0
+        status = "finite"
+        for _ in range(count[k]):
+            res = next(results)
+            if isinstance(res, Exception):
+                return out, [res]
             if res.divergent:
-                return (math.inf, math.inf, "divergent")
+                return out + [(math.inf, math.inf, "divergent")], []
             value += res.value
             err += res.abs_error_estimate
-        if hi > _TAIL_RADIUS:
-            T = _TAIL_RADIUS
-            fT = float(np.asarray(fn(np.array([T])))[0])
-            if tail_exp is not None:
-                if tail_exp >= -1.0:
-                    if fT != 0.0:
-                        return (math.inf, math.inf, "divergent")
-                else:
-                    tail = -fT * T / (tail_exp + 1.0)
-                    value += tail
-                    err += abs(tail) * 1e-12
-            else:
-                # probe the local decay; treat near-flat tails as divergent
-                f2 = float(np.asarray(fn(np.array([2.0 * T])))[0])
-                if fT == 0.0 and f2 == 0.0:
-                    pass  # integrand dead beyond T
-                else:
-                    if f2 <= 0.0 or fT <= 0.0:
-                        sigma = -2.0
-                    else:
-                        sigma = math.log2(f2 / fT)
-                    if sigma >= -1.0 - 1e-9:
-                        return (math.inf, math.inf, "divergent")
-                    tail = -fT * T / (sigma + 1.0)
-                    value += tail
-                    err += 0.5 * abs(tail)
-    return (value, err, "finite")
+            if res.status == "max-cells-reached":
+                status = "unreliable"
+        if hi > _TAIL_RADIUS and hi > lo:
+            try:
+                tail = _analytic_tail(lambda r, k=k: fn(r, np.full(len(r), k)), tail_exp)
+            except Exception as exc:
+                return out, [exc]
+            if tail is None:
+                return out + [(math.inf, math.inf, "divergent")], []
+            value += tail[0]
+            err += tail[1]
+        out.append((value, err, status))
+    return out, []
+
+
+def _analytic_tail(fn, tail_exp: float | None):
+    """(value, error) of the integral of fn beyond r = 2^40, or None if it
+    diverges."""
+    T = _TAIL_RADIUS
+    fT = float(np.asarray(fn(np.array([T])))[0])
+    if tail_exp is not None:
+        if tail_exp >= -1.0:
+            return (0.0, 0.0) if fT == 0.0 else None
+        tail = -fT * T / (tail_exp + 1.0)
+        return (tail, abs(tail) * 1e-12)
+    # probe the local decay; treat near-flat tails as divergent
+    f2 = float(np.asarray(fn(np.array([2.0 * T])))[0])
+    if fT == 0.0 and f2 == 0.0:
+        return (0.0, 0.0)  # integrand dead beyond T
+    if f2 <= 0.0 or fT <= 0.0:
+        sigma = -2.0
+    else:
+        sigma = math.log2(f2 / fT)
+    if sigma >= -1.0 - 1e-9:
+        return None
+    tail = -fT * T / (sigma + 1.0)
+    return (tail, 0.5 * abs(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +292,7 @@ def lp_norm(f: RadialFunction, w: Weight, p: float,
                 moment = abs(coeff) ** p * (hi ** E - lo ** E) / E
         return NormResult((sphere * moment) ** (1.0 / p), "closed-form")
 
-    def integrand(r):
+    def integrand(r, _k):
         return np.abs(f.profile_at(r)) ** p * r ** (d + alpha - 1.0)
 
     zero_exp = None
@@ -281,56 +302,49 @@ def lp_norm(f: RadialFunction, w: Weight, p: float,
         tail_exp = p * pw[1] + d + alpha - 1.0
     elif lo > 0.0:
         zero_exp = 0.0
-    value, err, status = _radial_integral(
-        integrand, lo, hi, zero_exp=zero_exp, tail_exp=tail_exp, tol=tol,
-        breakpoints=[b for b in (f.inner_cutoff, f.outer_cutoff) if b],
-    )
+    results, raised = _radial_integrals(
+        integrand, [(lo, hi, [b for b in (f.inner_cutoff, f.outer_cutoff) if b])],
+        zero_exp=zero_exp, tail_exp=tail_exp, tol=tol)
+    if raised:
+        raise raised.pop()
+    (value, err, status), = results
     if status == "divergent":
         return _divergent("radial-quadrature")
     norm = (sphere * value) ** (1.0 / p)
     rel = err / max(value, 1e-300) / p
-    return NormResult(norm, "radial-quadrature", error=abs(norm) * rel)
+    return NormResult(norm, "radial-quadrature", error=abs(norm) * rel,
+                      status=status)
 
 
 # ---------------------------------------------------------------------------
 # central Morrey norm
 # ---------------------------------------------------------------------------
 
-def _ball_moment(f: RadialFunction, w: Weight, p: float, R: float,
-                 tol: float, force_quadrature: bool = False) -> tuple[float, float, str]:
-    """integral over B(0,R) of |f|^p w, via the polar reduction."""
+def _ball_moment(f: RadialFunction, w: Weight, p: float, R: float) -> tuple[float, float, str]:
+    """integral over B(0,R) of |f|^p w for a power profile f, in closed form."""
     d, alpha = w.d, w.degree
     sphere = w.sphere_integral()
     lo, hi = f.support()
     lo = min(lo, R)
     hi = min(hi, R)
-    pw = f.power_form()
-    if pw is not None and not force_quadrature:
-        coeff, gamma = pw
-        if coeff == 0.0:
-            return (0.0, 0.0, "finite")
-        E = p * gamma + d + alpha
-        if lo == 0.0 and E <= 0.0:
-            return (math.inf, math.inf, "divergent")
-        if hi <= lo:
-            return (0.0, 0.0, "finite")
-        if E == 0.0:
-            moment = abs(coeff) ** p * math.log(hi / lo)
-        else:
-            moment = abs(coeff) ** p * (hi ** E - (lo ** E if lo > 0 else 0.0)) / E
-        return (sphere * moment, 0.0, "finite")
-
-    def integrand(r):
-        return np.abs(f.profile_at(r)) ** p * r ** (d + alpha - 1.0)
-
-    value, err, status = _radial_integral(
-        integrand, lo, hi, zero_exp=None, tol=tol,
-        breakpoints=[b for b in (f.inner_cutoff, f.outer_cutoff) if b],
-    )
-    return (sphere * value, sphere * err, status)
+    coeff, gamma = f.power_form()
+    if coeff == 0.0:
+        return (0.0, 0.0, "finite")
+    E = p * gamma + d + alpha
+    if lo == 0.0 and E <= 0.0:
+        return (math.inf, math.inf, "divergent")
+    if hi <= lo:
+        return (0.0, 0.0, "finite")
+    if E == 0.0:
+        moment = abs(coeff) ** p * math.log(hi / lo)
+    else:
+        moment = abs(coeff) ** p * (hi ** E - (lo ** E if lo > 0 else 0.0)) / E
+    return (sphere * moment, 0.0, "finite")
 
 
-def _sup_over_grid(radii, brackets, errors) -> NormResult:
+def _sup_over_grid(radii, brackets, errors, capped: bool = False) -> NormResult:
+    """The supremum of the brackets; 'unreliable' if it sits strictly at a
+    grid boundary or if a bracket's quadrature hit its cell cap."""
     radii = tuple(radii)
     brackets = tuple(brackets)
     finite = [b for b in brackets if math.isfinite(b)]
@@ -356,6 +370,8 @@ def _sup_over_grid(radii, brackets, errors) -> NormResult:
         if i_max == len(brackets) - 1 and \
                 brackets[-1] > brackets[-2] * (1 + 1e-12):
             status = "unreliable"
+    if capped:
+        status = "unreliable"
     return NormResult(value, "radial-quadrature", max(errors), status,
                       radii, brackets)
 
@@ -370,6 +386,11 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
     accepts any lambda (CMO reuses it with lambda = 0).  ``use_grid`` skips
     the closed-form shortcut so the per-radius brackets are materialized;
     ``force_quadrature`` additionally computes each ball moment numerically.
+    Ball moments by quadrature (forced, or for a profile that is not a
+    power) integrate the whole radius grid in lockstep, one integrand call
+    per refinement round for every radius, each with the result it would
+    have alone.  A moment that hits the quadrature's cell cap makes the
+    norm 'unreliable'.
     """
     d, alpha = w.d, w.degree
     if not w.locally_integrable():
@@ -388,19 +409,31 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
         return _divergent("closed-form")
 
     radii = [2.0 ** j for j in range(-J, J + 1)]
+    if pw is None or force_quadrature:
+        def integrand(r, _k):
+            return np.abs(f.profile_at(r)) ** p * r ** (dpa - 1.0)
+
+        lo, hi = f.support()
+        cuts = [b for b in (f.inner_cutoff, f.outer_cutoff) if b]
+        results, raised = _radial_integrals(
+            integrand, [(min(lo, R), min(hi, R), cuts) for R in radii], tol=tol)
+        if raised:
+            raise raised.pop()
+        moments = [(sphere * v, sphere * e, status) for v, e, status in results]
+    else:
+        moments = (_ball_moment(f, w, p, R) for R in radii)
     brackets = []
     errors = []
-    moment_quad = force_quadrature and pw is not None
-    for R in radii:
+    capped = False
+    for R, (moment, err, status) in zip(radii, moments):
         mass = sphere * R ** dpa / dpa
-        moment, err, status = _ball_moment(f, w, p, R, tol,
-                                           force_quadrature=moment_quad)
         if status == "divergent":
             return _divergent("radial-quadrature")
+        capped |= status == "unreliable"
         br = mass ** (-(1.0 + lam * p)) * moment
         brackets.append(br ** (1.0 / p))
         errors.append((err / max(moment, 1e-300)) / p * brackets[-1])
-    return _sup_over_grid(radii, brackets, errors)
+    return _sup_over_grid(radii, brackets, errors, capped)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +451,12 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
     lambda = 0 is the plain central BMO norm.  For b = log|x| and a power
     weight the bracket is R-independent with the closed value known from the
     log-moment integrals; the grid evaluation reproduces it.
+
+    The means (in closed form for b = log|x| without cutoffs) and then the
+    oscillations integrate the whole radius grid in lockstep, one integrand
+    call per refinement round for every radius, each with the result it
+    would have alone.  An integral that hits the quadrature's cell cap
+    makes the norm 'unreliable'.
     """
     if q <= 1:
         raise ValueError("q must be > 1")
@@ -433,37 +472,52 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
         return NormResult(0.0, "closed-form")  # constants oscillate by zero
 
     radii = [2.0 ** j for j in range(-J, J + 1)]
+    masses = [sphere * R ** dpa / dpa for R in radii]
+    capped = False
+    mean_raised = []  # the exception of the first mean that raised, if any
+    if b.is_log and b.inner_cutoff is None and b.outer_cutoff is None:
+        means = [math.log(R) - 1.0 / dpa for R in radii]
+    else:
+        def signed(r, _k):
+            return b.profile_at(r) * r ** (dpa - 1.0)
+
+        results, mean_raised = _radial_integrals(signed, [(0.0, R, ()) for R in radii],
+                                                 tol=tol)
+        means = []
+        for mass, (val, _, status) in zip(masses, results):
+            if status == "divergent":
+                break
+            capped |= status == "unreliable"
+            means.append(sphere * val / mass)
+
+    mean = np.array(means)
+
+    def osc(r, k):
+        return np.abs(b.profile_at(r) - mean[k]) ** q * r ** (dpa - 1.0)
+
+    members = []
+    for R, m in zip(radii, means):
+        kink = math.exp(m) if b.is_log else None
+        members.append((0.0, R, [kink] if kink and 0 < kink < R else []))
     brackets = []
     errors = []
-    for R in radii:
-        mass = sphere * R ** dpa / dpa
-        if b.is_log and b.inner_cutoff is None and b.outer_cutoff is None:
-            mean = math.log(R) - 1.0 / dpa
-        else:
-            def signed(r):
-                return b.profile_at(r) * r ** (dpa - 1.0)
-
-            val, err, status = _radial_integral(signed, 0.0, R, zero_exp=None,
-                                                tol=tol)
-            if status == "divergent":
-                return _divergent("radial-quadrature")
-            mean = sphere * val / mass
-
-        def osc(r, mean=mean):
-            return np.abs(b.profile_at(r) - mean) ** q * r ** (dpa - 1.0)
-
-        kink = math.exp(mean) if b.is_log else None
-        val, err, status = _radial_integral(
-            osc, 0.0, R, zero_exp=None, tol=tol,
-            breakpoints=[kink] if kink and 0 < kink < R else [],
-        )
+    # the oscillation of each radius comes before the mean of the next
+    results, raised = _radial_integrals(osc, members, tol=tol)
+    if raised:
+        raise raised.pop()
+    for mass, (val, err, status) in zip(masses, results):
         if status == "divergent":
             return _divergent("radial-quadrature")
+        capped |= status == "unreliable"
         moment = sphere * val
         br = mass ** (-(1.0 + lam * q)) * moment
         brackets.append(br ** (1.0 / q))
         errors.append((sphere * err / max(moment, 1e-300)) / q * brackets[-1])
-    return _sup_over_grid(radii, brackets, errors)
+    if mean_raised:
+        raise mean_raised.pop()
+    if len(means) < len(radii):  # a mean diverged
+        return _divergent("radial-quadrature")
+    return _sup_over_grid(radii, brackets, errors, capped)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +563,13 @@ def _offcenter_ball_integral(h, w: Weight, center_radius: float, radius: float,
     breaks = [x for x in (abs(R0 - radius), radius - R0, 1.0, log_kink)
               if x is not None and lo < x < hi]
     zero_exp = alpha + d - 1.0 if lo == 0.0 else None
-    value, err, status = _radial_integral(
-        integrand, lo, hi, zero_exp=zero_exp, zero_logs=1, tol=tol,
-        breakpoints=sorted(set(breaks)),
-    )
-    if status != "finite":
+    results, raised = _radial_integrals(
+        lambda r, _k: integrand(r), [(lo, hi, sorted(set(breaks)))],
+        zero_exp=zero_exp, zero_logs=1, tol=tol)
+    if raised:
+        raise raised.pop()
+    (value, err, status), = results
+    if status == "divergent":
         raise DivergentWeightError("off-center weight integral diverged")
     return surface * value
 

@@ -1,5 +1,7 @@
 import json
 import os
+import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 import hardylab
 from hardylab.cli import (EXIT_DIVERGENT, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
                           bundled_scenario_dir, load_scenario, main, run,
-                          run_suite)
+                          run_suite, write_report)
 
 SCENARIOS = bundled_scenario_dir()
 
@@ -154,6 +156,33 @@ def test_suite_over_bundled_dir(tmp_path):
     rep = read(out)
     assert rep["passed"] is True
     assert len(rep["scenarios"]) >= 8
+
+
+def test_suite_output_without_suffix_is_a_directory(tmp_path):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    shutil.copy(SCENARIOS / "hardy-p2.json", scenarios)
+    out = tmp_path / "out"
+    assert main(["suite", str(scenarios), "-o", str(out), "--no-timestamp"]) == EXIT_PASS
+    assert read(out / "suite.json")["scenarios"][0]["scenario"] == "hardy-p2.json"
+    assert read(out / "hardy-p2.json")["passed"] is True
+    # an output with a suffix keeps its summary beside the report directory
+    assert main(["suite", str(scenarios), "-o", str(tmp_path / "x.json"),
+                 "--no-timestamp"]) == EXIT_PASS
+    assert read(tmp_path / "x.json")["passed"] is True
+    assert read(tmp_path / "x" / "hardy-p2.json")["passed"] is True
+
+
+def test_report_rewritten_in_place(tmp_path):
+    out = tmp_path / "report.json"
+    write_report({"long": "x" * 5000}, out)
+    out.chmod(0o640)
+    inode = out.stat().st_ino
+    write_report({"short": 1}, out)
+    assert out.read_text() == '{\n  "short": 1\n}\n'
+    assert out.stat().st_ino == inode
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    write_report({"short": 1}, Path(os.devnull))  # not a regular file: no truncation
 
 
 def test_main_entry_point(tmp_path, capsys):

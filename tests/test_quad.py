@@ -7,7 +7,7 @@ from hardylab import quad
 from hardylab.constants import compute_constant
 from hardylab.expr import DomainError
 from hardylab.quad import (_PROBE_H, SingularityHints, _probe_face_exponent,
-                           integrate_interval,
+                           integrate_interval, integrate_intervals,
                            integrate_positive_orthant, integrate_unit_cube,
                            neumaier_sum)
 
@@ -333,3 +333,87 @@ def test_batching_cuts_integrand_calls_not_points(monkeypatch):
     assert values[0] == values[1]
     assert points == points_single
     assert 5 * calls <= calls_single
+
+
+# ---------------------------------------------------------------------------
+# families of intervals in lockstep: each member's integrate_interval result
+# ---------------------------------------------------------------------------
+
+# Greedy's last split at tol 1e-10 on (0, 1) is of [0.9375, 1]; the middle
+# node of its right half is this point, a node of no panel before it.
+_LAST_SPLIT_NODE = 0.984375
+
+
+def _poison_last_split(raise_error):
+    def f(x):
+        bad = x == _LAST_SPLIT_NODE
+        if raise_error and bad.any():
+            raise DomainError("poisoned point")
+        return np.where(bad, np.nan, np.exp(3.0 * x) * np.sin(7.0 * x) + 1.0 / (1.05 - x))
+    return f
+
+
+def _no_points_near_zero(x):
+    if (x < 1e-3).any():
+        raise DomainError("below 1e-3")
+    return np.sqrt(x)
+
+
+_REGULAR = dict(sing_a=(0.0, 0), sing_b=(0.0, 0))
+_MEMBERS = {
+    # a probed face graded at the origin
+    "probed": (lambda x: x ** -0.6 * np.exp(x), dict(a=0.0, b=2.0, sing_b=(0.0, 0))),
+    "breakpoints": (lambda x: np.where(x < 0.3, 1.0, np.exp(x)),
+                    dict(a=0.0, b=1.0, breakpoints=[0.3, 0.77], **_REGULAR)),
+    "capped": (lambda x: np.sin(40.0 * x) * np.exp(x),
+               dict(a=-1.0, b=1.0, max_cells=8, **_REGULAR)),
+    # probed at about -0.985: scanned, found convergent, then integrated
+    "suspicious": (lambda x: x ** -0.985, dict(a=0.0, b=1.0, sing_b=(0.0, 0))),
+    "nan": (_poison_last_split(False), dict(a=0.0, b=1.0, **_REGULAR)),
+    "domain-error": (_poison_last_split(True), dict(a=0.0, b=1.0, **_REGULAR)),
+    # raises at its probe points, so the family's one probe call raises
+    # and every member probes alone; its divergence scan raises too
+    "probe-raises": (_no_points_near_zero, dict(a=0.0, b=1.0, sing_b=(0.0, 0))),
+}
+
+
+def _outcome(res):
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
+    return repr(res)  # value, errors, status and cells, to the last bit
+
+
+@pytest.mark.parametrize("names", [
+    ["probed", "breakpoints", "capped", "suspicious"],
+    ["probed", "nan", "breakpoints"],
+    ["breakpoints", "domain-error", "probed"],
+    ["capped", "probed", "probe-raises", "breakpoints"],
+], ids=["converging", "nan-ends", "domain-error-ends", "probe-raises"])
+@pytest.mark.parametrize("budget", [None, 15], ids=["all-together", "one-box-budget"])
+def test_lockstep_family_matches_each_integral_alone(monkeypatch, names, budget):
+    if budget is not None:  # a run past the first waits for the ones before it
+        monkeypatch.setattr(quad, "_LOCKSTEP_POINTS", budget)
+    funcs = [_MEMBERS[name][0] for name in names]
+    members = [_MEMBERS[name][1] for name in names]
+    widest = [0]  # the most members one call evaluated
+
+    def family(x, k):
+        widest[0] = max(widest[0], len(np.unique(k)))
+        out = np.empty(len(x))
+        for j in np.unique(k):
+            out[k == j] = funcs[j](x[k == j])
+        return out
+
+    alone = []  # a loop over the members, stopping where integrate_intervals does
+    for f, member in zip(funcs, members):
+        try:
+            alone.append(integrate_interval(f, tol=1e-10, **member))
+        except DomainError as exc:
+            alone.append(exc)
+            break
+        if alone[-1].divergent:
+            break
+    together = integrate_intervals(family, members, tol=1e-10)
+    assert [_outcome(r) for r in together] == [_outcome(r) for r in alone]
+    if budget is None:
+        assert widest[0] >= 2  # members shared integrand calls

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import quad
 from hardylab.expr import parse
-from hardylab.spaces import (RadialFunction, _cap_fraction, central_morrey_norm,
+from hardylab.quad import integrate_interval
+from hardylab.spaces import (RadialFunction, _cap_fraction, _sup_over_grid,
+                             central_morrey_norm,
                              cmo_norm, log_bmo_check, lp_norm, make_witness_lp,
                              log_profile, power_profile)
 from hardylab.weights import isotropic
@@ -130,6 +133,115 @@ def test_cmo_log_power_weight_bracket(alpha):
     assert res.value == pytest.approx(1.0 / (1.0 + alpha), rel=1e-8)
     spread = max(res.brackets) - min(res.brackets)
     assert spread <= 1e-8 * res.value
+
+
+# ---------------------------------------------------------------------------
+# radius grids in lockstep against one radius at a time
+# ---------------------------------------------------------------------------
+
+def _radial_reference(fn, lo, hi, breakpoints=()):
+    """(value, error) of the integral of fn over (lo, hi), hi <= 2^40,
+    one radius at a time with integrate_interval: (lo, 1) in r and (1, hi)
+    in log2 r, as the radial norms computed it before grids ran in
+    lockstep."""
+    pieces = []
+    if lo < min(hi, 1.0):
+        pieces.append(integrate_interval(
+            fn, lo, min(hi, 1.0), sing_a=(None, 0) if lo == 0.0 else (0.0, 0),
+            sing_b=(0.0, 0), tol=1e-10,
+            breakpoints=[b for b in breakpoints if lo < b < min(hi, 1.0)]))
+    if hi > max(lo, 1.0):
+        def g(u):
+            r = 2.0 ** u
+            return fn(r) * r * math.log(2.0)
+        pieces.append(integrate_interval(
+            g, math.log2(max(lo, 1.0)), math.log2(hi), tol=1e-10,
+            breakpoints=[math.log2(b) for b in breakpoints if max(lo, 1.0) < b < hi]))
+    value = err = 0.0
+    for res in pieces:
+        assert res.converged
+        value += res.value
+        err += res.abs_error_estimate
+    return value, err
+
+
+def _radii(J=20):
+    return [2.0 ** j for j in range(-J, J + 1)]
+
+
+@pytest.mark.parametrize("symbol", ["log(r)", "exp(-r)"])
+def test_cmo_grid_matches_one_radius_at_a_time(symbol):
+    b = RadialFunction(parse(symbol, 0))
+    w, q, lam = isotropic(2, 0.3), 2.0, 0.0
+    sphere, dpa = w.sphere_integral(), w.d + w.degree
+    brackets, errors = [], []
+    for R in _radii():
+        mass = sphere * R ** dpa / dpa
+        if b.is_log:
+            mean = math.log(R) - 1.0 / dpa
+        else:
+            val, _ = _radial_reference(lambda r: b.profile_at(r) * r ** (dpa - 1.0), 0.0, R)
+            mean = sphere * val / mass
+        kink = math.exp(mean) if b.is_log else None
+        val, err = _radial_reference(
+            lambda r: np.abs(b.profile_at(r) - mean) ** q * r ** (dpa - 1.0), 0.0, R,
+            [kink] if kink and 0 < kink < R else [])
+        moment = sphere * val
+        br = mass ** (-(1.0 + lam * q)) * moment
+        brackets.append(br ** (1.0 / q))
+        errors.append((sphere * err / max(moment, 1e-300)) / q * brackets[-1])
+    assert repr(cmo_norm(b, w, q, lam)) == repr(_sup_over_grid(_radii(), brackets, errors))
+
+
+@pytest.mark.parametrize("f", [power_profile(-0.375, outer_cutoff=2.5),
+                               RadialFunction(parse("exp(-r^2/2)", 0))],
+                         ids=["cutoff-power", "gaussian"])
+def test_morrey_quadrature_grid_matches_one_radius_at_a_time(f):
+    w, p, lam = isotropic(1, 0.5), 2.0, -0.25
+    sphere, dpa = w.sphere_integral(), w.d + w.degree
+    lo, hi = f.support()
+    brackets, errors = [], []
+    for R in _radii():
+        mass = sphere * R ** dpa / dpa
+        moment = err = 0.0
+        if min(hi, R) > min(lo, R):
+            val, err = _radial_reference(
+                lambda r: np.abs(f.profile_at(r)) ** p * r ** (dpa - 1.0),
+                min(lo, R), min(hi, R), [b for b in (f.inner_cutoff, f.outer_cutoff) if b])
+            moment, err = sphere * val, sphere * err
+        br = mass ** (-(1.0 + lam * p)) * moment
+        brackets.append(br ** (1.0 / p))
+        errors.append((err / max(moment, 1e-300)) / p * brackets[-1])
+    res = central_morrey_norm(f, w, p, lam, force_quadrature=True)
+    assert res.status == "finite"
+    assert repr(res) == repr(_sup_over_grid(_radii(), brackets, errors))
+
+
+def test_cmo_grid_makes_one_integrand_call_per_round(monkeypatch):
+    calls = [0]
+    real = RadialFunction.profile_at
+
+    def counting(self, r):
+        calls[0] += 1
+        return real(self, r)
+
+    monkeypatch.setattr(RadialFunction, "profile_at", counting)
+    res = cmo_norm(log_profile(), isotropic(2, 0.3), 2.0)
+    assert res.value == pytest.approx(1.0 / 2.3, rel=1e-9)
+    # one call probes every face; one call a round refines every radius
+    # (about 600 calls, one radius and one panel set at a time, before)
+    assert calls[0] <= 30
+
+
+def test_capped_radial_quadrature_is_unreliable(monkeypatch):
+    monkeypatch.setitem(quad._DEFAULT_MAX_CELLS, 1, 8)
+    w = isotropic(1, 0.0)
+    # the kink at r = 0.3 takes more than 8 cells to resolve
+    f = RadialFunction(parse("exp(-r) * abs(r - 0.3)", 0))
+    assert lp_norm(f, w, 2.0).status == "unreliable"
+    assert central_morrey_norm(f, w, 2.0, -0.25).status == "unreliable"
+    assert cmo_norm(f, w, 2.0).status == "unreliable"
+    assert cmo_norm(log_profile(), w, 2.0).status == "unreliable"
 
 
 def test_cmo_constant_is_zero():
