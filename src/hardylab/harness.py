@@ -10,16 +10,17 @@ converse statement: along the cutoff power family with slot exponents
 reproduces that climb, checks monotonicity, and extrapolates the limit from
 the last three epsilon points.
 
-The outer radial norm of the operator output is integrated up to r = 2^40;
-beyond that the integrand is a power times a factor W(r)^p squeezed between
-W(2^40)^p and the cutoff-free ceiling, so the tail is added analytically
-with the bracket width as its error bar.
+The outer radial norm of the operator output runs on the lockstep radial
+engine of the norms (spaces._radial_integrals) up to r = 2^40; beyond that
+the integrand is a power times a factor W(r)^p squeezed between W(2^40)^p
+and the cutoff-free ceiling, so the tail is added analytically with the
+bracket width as its error bar.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,9 +31,9 @@ from .kernels import (KernelSpec, Scenario, _as_fraction,
                       check_morrey_balance, cube_points)
 from .operators import (OperatorInstance, apply, apply_radial_closed_form,
                         separable_profile)
-from .quad import integrate_interval
-from .spaces import (NormResult, RadialFunction, central_morrey_norm,
-                     lp_norm, make_witness_lp, power_profile, log_profile)
+from .spaces import (_TAIL_RADIUS, NormResult, RadialFunction, _radial_integrals,
+                     central_morrey_norm, lp_norm, make_witness_lp, power_profile,
+                     log_profile)
 from .weights import isotropic
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "operator_radial_lp_norm",
 ]
 
-_TAIL_RADIUS = 2.0 ** 40
 DEFAULT_EPS_GRID = (0.1, 0.03, 0.01, 0.003, 0.001)
 
 
@@ -78,9 +78,10 @@ def operator_radial_lp_norm(inst: OperatorInstance, outer_tol: float = 1e-9,
     """||T(f_1,...,f_m)||_{p, omega} for radial power (optionally cutoff)
     inputs, by 1-D quadrature of the radial profile r -> T(f)(x_r).
 
-    The profile is integrated over [support, 2^40] (log-spaced above r = 1)
-    and the tail is bracketed analytically between the last computed profile
-    value and the cutoff-free ceiling.
+    The profile is integrated from the support's start up to 2^40 by the
+    radial engine of the norms, and the tail is bracketed analytically
+    between the last computed profile value and the cutoff-free ceiling.
+    A piece that hits the quadrature's cell cap makes the norm 'unreliable'.
     """
     s = inst.scenario
     p = s.p_out
@@ -115,79 +116,55 @@ def operator_radial_lp_norm(inst: OperatorInstance, outer_tol: float = 1e-9,
             raise ArithmeticError("operator value diverges at a sample radius")
         return vals
 
-    def moment_integrand(rs: np.ndarray) -> np.ndarray:
+    def moment_integrand(rs: np.ndarray, _k) -> np.ndarray:
         return np.abs(profile(rs)) ** p * rs ** (d + alpha - 1.0)
 
-    r_start = _support_start(inst)
-    if not math.isfinite(r_start):
-        return NormResult(0.0, "radial-quadrature")
-    moment = 0.0
-    err = 0.0
-    if r_start < 1.0:
-        res = integrate_interval(moment_integrand, max(r_start, 0.0), 1.0,
-                                 sing_a=(None, 0), tol=outer_tol)
-        if res.divergent:
-            return NormResult(math.inf, "radial-quadrature", math.inf, "divergent")
-        moment += res.value
-        err += res.abs_error_estimate
-    head_lo = max(1.0, r_start)
-    if head_lo < _TAIL_RADIUS:
-        ln2 = math.log(2.0)
-
-        def logspace_integrand(u: np.ndarray) -> np.ndarray:
-            r = 2.0 ** np.atleast_1d(u)
-            return moment_integrand(r) * r * ln2
-
-        res = integrate_interval(logspace_integrand, math.log2(head_lo), 40.0,
-                                 tol=outer_tol)
-        if res.divergent:
-            return NormResult(math.inf, "radial-quadrature", math.inf, "divergent")
-        moment += res.value
-        err += res.abs_error_estimate
-
-    # analytic tail bracket beyond 2^40: the profile is W(r) r^{sum_gamma}
-    # with W squeezed between W(2^40) and the cutoff-free ceiling
-    tail_exp = p * sum_gamma + d + alpha
-    if tail_exp >= 0.0:
-        return NormResult(math.inf, "radial-quadrature", math.inf, "divergent")
-    T = _TAIL_RADIUS
-    v_T = abs(float(profile(np.array([T]))[0]))
-    w_tail = v_T / T ** sum_gamma
-    bare = OperatorInstance(
-        scenario=s,
-        inputs=tuple(RadialFunction(f.profile) for f in inst.inputs),
-        symbols=inst.symbols,
-        mode=inst.mode,
-    )
-    ceiling_res, _ = apply_radial_closed_form(bare)
-    if ceiling_res.divergent:
-        # the cutoff-free integral diverges, so W(r) keeps growing; probe the
-        # growth rate of the moment integrand empirically, 100% error bar
-        h_T = v_T ** p * T ** (d + alpha - 1.0)
-        h_2T = abs(float(profile(np.array([2.0 * T]))[0])) ** p \
-            * (2.0 * T) ** (d + alpha - 1.0)
-        if h_T > 0.0 and h_2T > 0.0:
-            sigma = math.log2(h_2T / h_T)
-        else:
-            sigma = tail_exp - 1.0
-        if sigma >= -1.0:
-            return NormResult(math.inf, "radial-quadrature", math.inf, "divergent")
-        tail = -h_T * T / (sigma + 1.0)
-        moment += tail
-        err += tail
-    else:
+    def tail(_k):
+        """The moment beyond 2^40: the profile is W(r) r^{sum_gamma} with W
+        squeezed between W(2^40) and the cutoff-free ceiling."""
+        tail_exp = p * sum_gamma + d + alpha
+        if tail_exp >= 0.0:
+            return None
+        T = _TAIL_RADIUS
+        v_T = abs(float(profile(np.array([T]))[0]))
+        w_tail = v_T / T ** sum_gamma
+        bare = replace(inst, inputs=tuple(RadialFunction(f.profile) for f in inst.inputs))
+        ceiling_res, _ = apply_radial_closed_form(bare)
+        if ceiling_res.divergent:
+            # the cutoff-free integral diverges, so W(r) keeps growing; probe
+            # the growth rate of the moment integrand empirically, 100% error bar
+            h_T = v_T ** p * T ** (d + alpha - 1.0)
+            h_2T = abs(float(profile(np.array([2.0 * T]))[0])) ** p \
+                * (2.0 * T) ** (d + alpha - 1.0)
+            if h_T > 0.0 and h_2T > 0.0:
+                sigma = math.log2(h_2T / h_T)
+            else:
+                sigma = tail_exp - 1.0
+            if sigma >= -1.0:
+                return None
+            value = -h_T * T / (sigma + 1.0)
+            return (value, value)
         ceiling = abs(ceiling_res.value)
         scale = T ** tail_exp / (-tail_exp)
         tail_lo = w_tail ** p * scale
         tail_hi = ceiling ** p * scale
-        moment += 0.5 * (tail_lo + tail_hi)
-        err += 0.5 * (tail_hi - tail_lo)
+        return (0.5 * (tail_lo + tail_hi), 0.5 * (tail_hi - tail_lo))
 
+    r_start = _support_start(inst)
+    if not math.isfinite(r_start):
+        return NormResult(0.0, "radial-quadrature")
+    results, raised = _radial_integrals(moment_integrand, [(r_start, math.inf, ())],
+                                        tail=tail, tol=outer_tol)
+    if raised:
+        raise raised.pop()
+    (moment, err, status), = results
+    if status == "divergent":
+        return NormResult(math.inf, "radial-quadrature", math.inf, "divergent")
     if moment <= 0.0:
         return NormResult(0.0, "radial-quadrature")
     norm = (sphere * moment) ** (1.0 / p)
     rel = err / moment / p
-    return NormResult(norm, "radial-quadrature", error=norm * rel)
+    return NormResult(norm, "radial-quadrature", error=norm * rel, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +237,8 @@ def sharpness_sweep(s: Scenario, eps_grid=DEFAULT_EPS_GRID,
             points.append(SweepPoint(eps, math.nan, math.nan, denom, "divergent"))
             continue
         ratio = res.value / denom
-        points.append(SweepPoint(eps, ratio, res.value, denom))
+        points.append(SweepPoint(eps, ratio, res.value, denom,
+                                 "unreliable" if res.status == "unreliable" else "ok"))
     ratios = [pt.ratio for pt in points if pt.status == "ok"]
     A = target.value
     if not ratios:
@@ -380,13 +358,10 @@ def _slot_morrey_norm(d: int, w, pk: float, lk: float) -> float:
 
 
 def _normalization_ratio(s: Scenario) -> float:
-    d = s.d
-    lam = s.lam_out
-    p = s.p_out
-    top = ((d + s.alpha) / s.omega.sphere_integral()) ** lam * (1.0 + lam * p) ** (-1.0 / p)
+    top = _slot_morrey_norm(s.d, s.omega, s.p_out, s.lam_out)
     bottom = 1.0
     for w, pk, lk in zip(s.weights, s.p, s.lam):
-        bottom *= _slot_morrey_norm(d, w, float(_as_fraction(pk)), lk)
+        bottom *= _slot_morrey_norm(s.d, w, float(_as_fraction(pk)), lk)
     return top / bottom
 
 
@@ -453,7 +428,7 @@ def _printed_norm_variants(s: Scenario) -> dict:
     lam = s.lam_out
     p = s.p_out
     om = s.omega.sphere_integral()
-    adopted = ((d + s.alpha) / om) ** lam * (1.0 + lam * p) ** (-1.0 / p)
+    adopted = _slot_morrey_norm(d, s.omega, p, lam)
     inverse_mass = om ** (-lam) * (1.0 / ((d + s.alpha) * (1.0 + lam * p))) ** (1.0 / p)
     return {"adopted": adopted, "inverse_mass_form": inverse_mass}
 

@@ -191,10 +191,6 @@ class _AxisMap:
         self.k0 = max(1, kappa0)
         self.k1 = max(1, kappa1)
 
-    @property
-    def trivial(self) -> bool:
-        return self.k0 == 1 and self.k1 == 1
-
     def seeds(self) -> list[float]:
         return [0.5] if (self.k0 > 1 and self.k1 > 1) else []
 
@@ -862,9 +858,9 @@ def integrate_unit_cube(
 def _family_panels(f, n: int, maps: dict):
     """evaluate({member: boxes}) for _lockstep: one call of the family f(t, k)
     on the graded nodes of every member's boxes.  Members whose axis maps
-    agree are graded together, so that each map keeps a scalar exponent
-    (numpy rounds some scalar powers, such as squares, differently from the
-    same power with an array exponent)."""
+    agree are graded together, as one slice of rows, so that each map keeps
+    a scalar exponent (numpy rounds some scalar powers, such as squares,
+    differently from the same power with an array exponent)."""
     groups: dict[tuple, list] = {}
     for k, ms in maps.items():
         groups.setdefault(tuple((m.k0, m.k1) for m in ms), []).append(k)
@@ -872,21 +868,23 @@ def _family_panels(f, n: int, maps: dict):
     group_maps = [maps[ks[0]] for ks in groups.values()]
 
     def evaluate(asks):
-        owners = list(asks)
+        owners = sorted(asks, key=group_of.__getitem__)
         boxes = [box for k in owners for box in asks[k]]
         pts, vols = _panel_nodes(n, boxes)
         u = pts.reshape(-1, n)
         rows_of = [len(asks[k]) * pts.shape[1] for k in owners]
-        member = np.repeat(owners, rows_of)
-        group = np.repeat([group_of[k] for k in owners], rows_of)
+        group_rows = {}  # in group order, as the owners are
+        for k, rows in zip(owners, rows_of):
+            group_rows[group_of[k]] = group_rows.get(group_of[k], 0) + rows
         t = np.empty_like(u)
         jac = np.empty(len(u))
         with np.errstate(all="ignore"):
-            for g, ms in enumerate(group_maps):
-                rows = group == g
-                if rows.any():
-                    t[rows], jac[rows] = _graded(ms, u[rows])
-            vals = np.asarray(f(t, member), dtype=float) * jac
+            start = 0
+            for g, rows in group_rows.items():
+                part = slice(start, start + rows)
+                t[part], jac[part] = _graded(group_maps[g], u[part])
+                start += rows
+            vals = np.asarray(f(t, np.repeat(owners, rows_of)), dtype=float) * jac
         sums = _panel_sums(n, vals.reshape(len(boxes), -1), vols)
         out = {}
         start = 0

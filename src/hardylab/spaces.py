@@ -153,7 +153,7 @@ def _divergent(method: str) -> NormResult:
 # ---------------------------------------------------------------------------
 
 def _radial_integrals(fn, members, zero_exp: float | None = None,
-                      zero_logs: int = 0, tail_exp: float | None = None,
+                      zero_logs: int = 0, tail=None,
                       tol: float = 1e-10) -> tuple[list, list]:
     """integral of fn(r, k) dr over (lo, hi) for every member k = (lo, hi,
     breakpoints) of a radius grid, hi possibly infinite, all in lockstep.
@@ -161,9 +161,10 @@ def _radial_integrals(fn, members, zero_exp: float | None = None,
     fn must be row-wise: k is the array of the members its radii belong to.
     Each member is split at r = 1: (lo, 1) in r, and (1, 2^40) in the
     substitution r = 2^u.  zero_exp: algebraic exponent of fn at r -> 0
-    (None = probe).  tail_exp: the power-decay exponent sigma with fn ~ c
-    r^sigma at infinity, if known; the tail beyond 2^40 is then added
-    analytically.
+    (None = probe).  tail(k): (value, error) of member k's integral beyond
+    r = 2^40, or None if it diverges; called after the member's pieces, and
+    only for a member with hi > 2^40.  Without it the tail is
+    _analytic_tail of fn with its decay probed.
 
     Returns (results, raised): each member's (value, error, status) in
     order, status 'finite', 'unreliable' (a piece hit the quadrature's cell
@@ -219,13 +220,14 @@ def _radial_integrals(fn, members, zero_exp: float | None = None,
                 status = "unreliable"
         if hi > _TAIL_RADIUS and hi > lo:
             try:
-                tail = _analytic_tail(lambda r, k=k: fn(r, np.full(len(r), k)), tail_exp)
+                beyond = tail(k) if tail else _analytic_tail(
+                    lambda r, k=k: fn(r, np.full(len(r), k)), None)
             except Exception as exc:
                 return out, [exc]
-            if tail is None:
+            if beyond is None:
                 return out + [(math.inf, math.inf, "divergent")], []
-            value += tail[0]
-            err += tail[1]
+            value += beyond[0]
+            err += beyond[1]
         out.append((value, err, status))
     return out, []
 
@@ -272,39 +274,20 @@ def lp_norm(f: RadialFunction, w: Weight, p: float,
     pw = f.power_form()
     if pw is not None and not force_quadrature:
         coeff, gamma = pw
-        if coeff == 0.0:
-            return NormResult(0.0, "closed-form")
-        E = p * gamma + d + alpha
-        if lo == 0.0 and hi == math.inf:
+        moment = _power_moment(coeff, p, p * gamma + d + alpha, lo, hi)
+        if moment == math.inf:
             return _divergent("closed-form")
-        if hi == math.inf:
-            if E >= 0.0:
-                return _divergent("closed-form")
-            moment = abs(coeff) ** p * lo ** E / (-E)
-        elif lo == 0.0:
-            if E <= 0.0:
-                return _divergent("closed-form")
-            moment = abs(coeff) ** p * hi ** E / E
-        else:
-            if E == 0.0:
-                moment = abs(coeff) ** p * math.log(hi / lo)
-            else:
-                moment = abs(coeff) ** p * (hi ** E - lo ** E) / E
         return NormResult((sphere * moment) ** (1.0 / p), "closed-form")
 
     def integrand(r, _k):
         return np.abs(f.profile_at(r)) ** p * r ** (d + alpha - 1.0)
 
-    zero_exp = None
-    tail_exp = None
-    if pw is not None:
-        zero_exp = p * pw[1] + d + alpha - 1.0
-        tail_exp = p * pw[1] + d + alpha - 1.0
-    elif lo > 0.0:
-        zero_exp = 0.0
+    tail_exp = p * pw[1] + d + alpha - 1.0 if pw is not None else None
+    zero_exp = 0.0 if pw is None and lo > 0.0 else tail_exp
     results, raised = _radial_integrals(
         integrand, [(lo, hi, [b for b in (f.inner_cutoff, f.outer_cutoff) if b])],
-        zero_exp=zero_exp, tail_exp=tail_exp, tol=tol)
+        zero_exp=zero_exp, tol=tol,
+        tail=lambda k: _analytic_tail(lambda r: integrand(r, k), tail_exp))
     if raised:
         raise raised.pop()
     (value, err, status), = results
@@ -320,26 +303,18 @@ def lp_norm(f: RadialFunction, w: Weight, p: float,
 # central Morrey norm
 # ---------------------------------------------------------------------------
 
-def _ball_moment(f: RadialFunction, w: Weight, p: float, R: float) -> tuple[float, float, str]:
-    """integral over B(0,R) of |f|^p w for a power profile f, in closed form."""
-    d, alpha = w.d, w.degree
-    sphere = w.sphere_integral()
-    lo, hi = f.support()
-    lo = min(lo, R)
-    hi = min(hi, R)
-    coeff, gamma = f.power_form()
+def _power_moment(coeff: float, p: float, E: float, lo: float, hi: float) -> float:
+    """integral over lo < r < hi of |coeff r^gamma|^p r^(d+alpha-1) dr in
+    closed form, with E = p*gamma + d + alpha; inf if it diverges."""
     if coeff == 0.0:
-        return (0.0, 0.0, "finite")
-    E = p * gamma + d + alpha
-    if lo == 0.0 and E <= 0.0:
-        return (math.inf, math.inf, "divergent")
+        return 0.0
+    if (lo == 0.0 and E <= 0.0) or (hi == math.inf and E >= 0.0):
+        return math.inf
     if hi <= lo:
-        return (0.0, 0.0, "finite")
+        return 0.0
     if E == 0.0:
-        moment = abs(coeff) ** p * math.log(hi / lo)
-    else:
-        moment = abs(coeff) ** p * (hi ** E - (lo ** E if lo > 0 else 0.0)) / E
-    return (sphere * moment, 0.0, "finite")
+        return abs(coeff) ** p * math.log(hi / lo)
+    return abs(coeff) ** p * (hi ** E - lo ** E) / E
 
 
 def _sup_over_grid(radii, brackets, errors, capped: bool = False) -> NormResult:
@@ -409,11 +384,11 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
         return _divergent("closed-form")
 
     radii = [2.0 ** j for j in range(-J, J + 1)]
+    lo, hi = f.support()
     if pw is None or force_quadrature:
         def integrand(r, _k):
             return np.abs(f.profile_at(r)) ** p * r ** (dpa - 1.0)
 
-        lo, hi = f.support()
         cuts = [b for b in (f.inner_cutoff, f.outer_cutoff) if b]
         results, raised = _radial_integrals(
             integrand, [(min(lo, R), min(hi, R), cuts) for R in radii], tol=tol)
@@ -421,7 +396,12 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
             raise raised.pop()
         moments = [(sphere * v, sphere * e, status) for v, e, status in results]
     else:
-        moments = (_ball_moment(f, w, p, R) for R in radii)
+        coeff, gamma = pw
+        E = p * gamma + d + alpha
+        moments = []
+        for R in radii:
+            moment = sphere * _power_moment(coeff, p, E, min(lo, R), min(hi, R))
+            moments.append((moment, 0.0, "finite" if moment < math.inf else "divergent"))
     brackets = []
     errors = []
     capped = False
@@ -536,9 +516,10 @@ def _cap_fraction(d: int, cos_theta: np.ndarray) -> np.ndarray:
 
 def _offcenter_ball_integral(h, w: Weight, center_radius: float, radius: float,
                              log_kink: float | None = None,
-                             tol: float = 1e-9) -> float:
+                             tol: float = 1e-9) -> tuple[float, str]:
     """integral over B(x0, radius) of h(|z|) w(z) dz for an isotropic power
-    weight, |x0| = center_radius, via spherical-cap slicing."""
+    weight, |x0| = center_radius, via spherical-cap slicing, and its status:
+    'finite', or 'unreliable' if a piece hit the quadrature's cell cap."""
     if w.kind != "isotropic":
         raise ValueError("off-center integrals support isotropic power weights")
     d, alpha = w.d, w.degree
@@ -571,7 +552,7 @@ def _offcenter_ball_integral(h, w: Weight, center_radius: float, radius: float,
     (value, err, status), = results
     if status == "divergent":
         raise DivergentWeightError("off-center weight integral diverged")
-    return surface * value
+    return surface * value, status
 
 
 def log_bmo_check(w: Weight, centers, radius: float = 1.0,
@@ -581,7 +562,8 @@ def log_bmo_check(w: Weight, centers, radius: float = 1.0,
     For |x_0| >= 2 the constant c = log|x_0| gives oscillation <= log 2; for
     |x_0| <= 2 the constant c = 0 gives oscillation bounded by
     log 3 * w(B(x_0,6))/w(B(x_0,1)).  Doubling (power weights with
-    alpha > -d) is what makes the second bound uniform.
+    alpha > -d) is what makes the second bound uniform.  An entry whose
+    integrals hit the quadrature's cell cap is 'unreliable' and not passed.
     """
     if w.kind != "isotropic" or not w.locally_integrable():
         raise ValueError("log-BMO check requires a locally integrable power weight")
@@ -590,17 +572,22 @@ def log_bmo_check(w: Weight, centers, radius: float = 1.0,
     worst_near = -math.inf
     for x0 in centers:
         R0 = abs(float(x0))
-        mass1 = _offcenter_ball_integral(lambda rho: np.ones_like(rho), w, R0, radius,
-                                         tol=tol)
+        statuses = []
+
+        def ball(h, rad, kink=None):
+            value, status = _offcenter_ball_integral(h, w, R0, rad, log_kink=kink,
+                                                     tol=tol)
+            statuses.append(status)
+            return value
+
+        mass1 = ball(np.ones_like, radius)
         if R0 >= 2.0 * radius:
             c_used = math.log(R0)
             bound = math.log(2.0)
             branch = "far"
         else:
             c_used = 0.0
-            mass6 = _offcenter_ball_integral(lambda rho: np.ones_like(rho), w, R0,
-                                             6.0 * radius, tol=tol)
-            bound = math.log(3.0) * mass6 / mass1
+            bound = math.log(3.0) * ball(np.ones_like, 6.0 * radius) / mass1
             branch = "near"
 
         def osc(rho, c=c_used):
@@ -608,9 +595,8 @@ def log_bmo_check(w: Weight, centers, radius: float = 1.0,
                 lg = np.where(rho > 0, np.log(np.maximum(rho, 1e-300)), 0.0)
             return np.abs(lg - c)
 
-        kink = math.exp(c_used)
-        num = _offcenter_ball_integral(osc, w, R0, radius, log_kink=kink, tol=tol)
-        oscillation = num / mass1
+        oscillation = ball(osc, radius, math.exp(c_used)) / mass1
+        status = "unreliable" if "unreliable" in statuses else "finite"
         margin = bound - oscillation
         if branch == "far":
             worst_far = max(worst_far, oscillation - bound)
@@ -623,7 +609,9 @@ def log_bmo_check(w: Weight, centers, radius: float = 1.0,
             "oscillation": oscillation,
             "bound": bound,
             "margin": margin,
-            "passed": bool(oscillation <= bound * (1 + 1e-9) + 1e-12),
+            "status": status,
+            "passed": status == "finite"
+                      and bool(oscillation <= bound * (1 + 1e-9) + 1e-12),
         })
     return {
         "weight_degree": w.degree,

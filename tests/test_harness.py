@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardylab import harness, kernels, operators, spaces
+from hardylab import harness, kernels, operators, quad, spaces
 from hardylab.expr import parse
 from hardylab.harness import (commutator_witness_check, morrey_extremal_check,
                               operator_radial_lp_norm, sharpness_sweep,
@@ -52,6 +52,14 @@ def test_sharpness_sweep_two_slots():
     ratios = [pt.ratio for pt in rep.points]
     assert ratios == sorted(ratios)
     assert ratios[-1] >= 0.98 * rep.target
+
+
+def test_capped_operator_norm_makes_sweep_point_unreliable(monkeypatch):
+    # each point's r < 1 and log-radius pieces need more than 4 cells
+    monkeypatch.setitem(quad._DEFAULT_MAX_CELLS, 1, 4)
+    rep = sharpness_sweep(hardy_scenario(p=2.0))
+    assert [pt.status for pt in rep.points] == ["unreliable"] * len(rep.points)
+    assert not rep.passed
 
 
 def test_sharpness_sweep_zero_density_trivial():
@@ -227,19 +235,19 @@ def test_operator_norm_call_counts_do_not_grow_with_radii(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    real_interval = harness.integrate_interval
+    real_intervals = spaces.integrate_intervals
 
-    def counting_interval(f, *args, **kwargs):
-        def g(x):
+    def counting_intervals(f, *args, **kwargs):
+        def g(x, k):
             counts["radii"] += np.size(x)
-            return f(x)
-        return real_interval(g, *args, **kwargs)
+            return f(x, k)
+        return real_intervals(g, *args, **kwargs)
 
     counted_apply = counting("apply", operators.apply)
     monkeypatch.setattr(operators, "apply", counted_apply)
     monkeypatch.setattr(harness, "apply", counted_apply)
     monkeypatch.setattr(spaces, "classify", counting("classify", spaces.classify))
-    monkeypatch.setattr(harness, "integrate_interval", counting_interval)
+    monkeypatch.setattr(spaces, "integrate_intervals", counting_intervals)
     seen = []
     for tol in (1e-6, 1e-10):
         counts.update(apply=0, classify=0, radii=0)

@@ -25,6 +25,13 @@ def test_witness_norm_closed_form_d1():
     assert res.value == pytest.approx((2.0 / (2.0 * eps)) ** 0.5, rel=1e-14)
 
 
+def test_closed_form_norm_of_empty_support_is_zero():
+    # inner cutoff above the outer one: the moment is empty, not negative
+    f = power_profile(-0.7, inner_cutoff=2.0, outer_cutoff=1.0)
+    res = lp_norm(f, isotropic(1, 0.0), 2.0)
+    assert res.method == "closed-form" and res.value == 0.0
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
 def test_witness_norm_quadrature_agrees(d, alpha):
@@ -285,6 +292,14 @@ def test_cap_fraction_array_matches_per_element_formula(d):
         half = 0.5 * betainc((d - 1) / 2.0, 0.5, 1.0 - ct * ct)
         want.append(half if ct >= 0.0 else 1.0 - half)
     assert np.array_equal(_cap_fraction(d, np.array(cts)), want)
+
+
+def test_capped_log_bmo_entry_is_not_passed(monkeypatch):
+    # the origin center's oscillation needs more than 8 cells
+    monkeypatch.setitem(quad._DEFAULT_MAX_CELLS, 1, 8)
+    rep = log_bmo_check(isotropic(1, 0.0), [0.0, 3.0])
+    assert [e["status"] for e in rep["entries"]] == ["unreliable", "finite"]
+    assert not rep["entries"][0]["passed"] and not rep["passed"]
 
 
 def test_log_bmo_higher_dimension_far_center():
