@@ -369,7 +369,8 @@ def _tensor_rule(n: int):
         idx = np.meshgrid(*([np.arange(15)] * n), indexing="ij")[ax].ravel()
         wk *= _WGK[idx]
         wg *= _WG7[idx]
-    return pts, wk, wg
+    # the Kronrod and Gauss weights as a (2, 1, 15^n, 1) stack of columns
+    return pts, np.stack([wk, wg])[:, None, :, None]
 
 
 # the most points one integrand call evaluates, in whole panels but never
@@ -391,25 +392,20 @@ def _panel_nodes(n, boxes):
     pts = np.empty((len(boxes), len(pts01), n))
     for ax, nodes in enumerate(pts01.T):
         pts[:, :, ax] = mid[:, ax, None] + half[:, ax, None] * nodes
-    return pts, np.prod(half, axis=1).tolist()
+    return pts, np.prod(half, axis=1)
 
 
 def _panel_sums(n, vals, vols):
     """Kronrod value and error estimate of each box from its row of integrand
-    values.  A box with a non-finite value gets None: the caller raises only
-    if it uses that box."""
-    _, wk, wg = _tensor_rule(n)
-    out = []
-    # a dot per row, not one vals @ wk: the matrix product rounds differently
-    # in the last bit, and a panel's value must not depend on its batch
-    for row, vol, finite in zip(vals, vols, np.isfinite(vals).all(axis=1).tolist()):
-        if not finite:
-            out.append(None)
-            continue
-        vk = float(np.dot(wk, row)) * vol
-        vg = float(np.dot(wg, row)) * vol
-        out.append((vk, max(abs(vk - vg), abs(vk) * 5e-16)))
-    return out
+    values, to be called under np.errstate(all="ignore").  A box with a
+    non-finite value gets None: the caller raises only if it uses that box."""
+    # numpy runs this stack of (1, 15^n) @ (15^n, 1) products as one BLAS dot
+    # per row and weight, the dot np.dot(w, row) takes.  One vals @ w would
+    # round differently in the last bit, and a panel's value must not depend
+    # on its batch.
+    vk, vg = np.matmul(vals[:, None, :], _tensor_rule(n)[1])[:, :, 0, 0] * vols
+    return [(v, max(abs(v - g), abs(v) * 5e-16)) if finite else None for v, g, finite in
+            zip(vk.tolist(), vg.tolist(), np.isfinite(vals).all(axis=1).tolist())]
 
 
 def _eval_panels(F, n, boxes):
@@ -418,18 +414,16 @@ def _eval_panels(F, n, boxes):
     pts, vols = _panel_nodes(n, boxes)
     with np.errstate(all="ignore"):
         vals = np.asarray(F(pts.reshape(-1, n)), dtype=float)
-    return _panel_sums(n, vals.reshape(len(boxes), -1), vols)
+        return _panel_sums(n, vals.reshape(len(boxes), -1), vols)
 
 
 def _halves(p: _Panel):
     """The two boxes a panel splits into: halved along its widest axis."""
-    ax = int(np.argmax(p.hi - p.lo))
-    mid = 0.5 * (p.lo[ax] + p.hi[ax])
-    hi_left = p.hi.copy()
-    hi_left[ax] = mid
-    lo_right = p.lo.copy()
-    lo_right[ax] = mid
-    return [(p.lo, hi_left), (lo_right, p.hi)]  # boxes are never written to
+    lo, hi = p.lo, p.hi
+    widths = [b - a for a, b in zip(lo, hi)]
+    ax = widths.index(max(widths))  # the first widest axis
+    mid = 0.5 * (lo[ax] + hi[ax])
+    return [(lo, hi[:ax] + (mid,) + hi[ax + 1:]), (lo[:ax] + (mid,) + lo[ax + 1:], hi)]
 
 
 def _refine(n, tol, max_cells, seeds):
@@ -545,8 +539,8 @@ def _refine(n, tol, max_cells, seeds):
         for ax in range(n):
             idx.append(rem % shape[ax])
             rem //= shape[ax]
-        lo = np.array([segments[ax][idx[ax]][0] for ax in range(n)])
-        hi = np.array([segments[ax][idx[ax]][1] for ax in range(n)])
+        lo = tuple(segments[ax][idx[ax]][0] for ax in range(n))
+        hi = tuple(segments[ax][idx[ax]][1] for ax in range(n))
         boxes.append((lo, hi))
     for start in range(0, len(boxes), panels_per_call):
         chunk = boxes[start:start + panels_per_call]
@@ -773,11 +767,13 @@ def _hints_for(sing: SingularityHints | None, n: int):
 
 def _graded(maps, u):
     """The graded points t of unit-cube points u, and the maps' jacobian."""
-    cols = [m.forward(u[:, i]) for i, m in enumerate(maps)]
+    t = np.empty_like(u)
     jac = np.ones(u.shape[0])
     for i, m in enumerate(maps):
-        jac *= m.derivative(u[:, i])
-    return np.stack(cols, axis=1), jac
+        t[:, i] = m.forward(u[:, i])
+        if (m.k0, m.k1) != (1, 1):  # an identity map's derivative is 1.0
+            jac *= m.derivative(u[:, i])
+    return t, jac
 
 
 def _graded_integrand(f, maps):
@@ -885,7 +881,7 @@ def _family_panels(f, n: int, maps: dict):
                 t[part], jac[part] = _graded(group_maps[g], u[part])
                 start += rows
             vals = np.asarray(f(t, np.repeat(owners, rows_of)), dtype=float) * jac
-        sums = _panel_sums(n, vals.reshape(len(boxes), -1), vols)
+            sums = _panel_sums(n, vals.reshape(len(boxes), -1), vols)
         out = {}
         start = 0
         for k in owners:

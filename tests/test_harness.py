@@ -114,6 +114,18 @@ def test_fuzz_small_batch_has_no_violations():
     assert rep["passed"]
     assert rep["max_ratio"] < 1.0 + 1e-6
     assert rep["violations"] == []
+    assert rep["unreliable"] == []
+
+
+def test_capped_fuzz_trial_is_unreliable(monkeypatch):
+    # trial 0's operator norm needs more than 4 cells in a piece
+    monkeypatch.setitem(quad._DEFAULT_MAX_CELLS, 1, 4)
+    rep = upper_bound_fuzz(trials=5)
+    assert rep["max_ratio"] < 1.0 + 1e-6  # the ratios alone look fine
+    assert rep["unreliable"]
+    assert {u["status"] for u in rep["unreliable"]} == {"unreliable"}
+    assert rep["unreliable"][0]["trial"] == 0
+    assert not rep["passed"]
 
 
 def test_fuzz_is_reproducible():

@@ -260,6 +260,55 @@ def test_batched_core_is_bit_identical_to_one_split_per_call(monkeypatch, run):
     assert batched == single
 
 
+def _panel_sums_by_row(n, vals, vols):
+    """The reference for quad._panel_sums: one np.dot per row, in Python
+    floats."""
+    wk, wg = quad._tensor_rule(n)[1].reshape(2, -1)
+    out = []
+    for row, vol in zip(vals, vols):
+        if not np.isfinite(row).all():
+            out.append(None)
+            continue
+        vk = float(np.dot(wk, row)) * vol
+        vg = float(np.dot(wg, row)) * vol
+        out.append((vk, max(abs(vk - vg), abs(vk) * 5e-16)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_panel_sums_match_a_dot_per_row(n):
+    rng = np.random.default_rng(n)
+    size = 15 ** n
+    for rows in (1, 2, 7, quad._BATCH_POINTS // size):
+        for strided in (False, True):
+            # rows scaled across 1e-300..1e300, mixed magnitudes inside a row
+            wide = (rng.standard_normal((rows, 2 * size))
+                    * 10.0 ** rng.uniform(-292, 292, (rows, 1))
+                    * 10.0 ** rng.uniform(-8, 8, (rows, 2 * size)))
+            wide[-1] = 1e308  # finite values whose sums overflow
+
+            def layout(w):  # strided rows take another BLAS kernel
+                return w[:, ::2] if strided else w[:, :size]
+
+            vols = 2.0 ** rng.uniform(-40, 0, rows)
+            with np.errstate(all="ignore"):  # as under its callers
+                got = quad._panel_sums(n, layout(wide), vols)
+                assert repr(got) == repr(_panel_sums_by_row(n, layout(wide), vols.tolist()))
+                bad = rows // 2
+                wide[bad, 2 * (size // 3)] = np.nan  # a column of both layouts
+                poisoned = quad._panel_sums(n, layout(wide), vols)
+            assert poisoned[bad] is None
+            assert repr(poisoned[:bad] + poisoned[bad + 1:]) == repr(got[:bad] + got[bad + 1:])
+
+
+def test_halves_split_the_first_widest_axis():
+    tied = quad._Panel((0.0, 0.25, 0.5), (0.5, 0.75, 1.0), 1.0, 1.0)
+    assert quad._halves(tied) == [((0.0, 0.25, 0.5), (0.25, 0.75, 1.0)),
+                                  ((0.25, 0.25, 0.5), (0.5, 0.75, 1.0))]
+    tall = quad._Panel((0.0, 0.0), (0.25, 0.5), 1.0, 1.0)
+    assert quad._halves(tall) == [((0.0, 0.0), (0.25, 0.25)), ((0.0, 0.25), (0.25, 0.5))]
+
+
 def _poisoned(bad_x, raise_error):
     """_bumpy with NaN (or a DomainError) at the one point bad_x."""
     hits = []
