@@ -93,7 +93,8 @@ class QuadResult:
     status 'converged' guarantees rel_error_estimate <= the requested
     tolerance; status 'divergent' means the value field is meaningless
     (the integral is +/-infinite); 'max-cells-reached' carries the best
-    available estimate with an honest error bar.
+    available estimate, and its error bar is the sum of the panels' error
+    estimates, which at a cell cap can miss the true error.
     """
 
     value: float
@@ -194,10 +195,10 @@ class _AxisMap:
     def seeds(self) -> list[float]:
         return [0.5] if (self.k0 > 1 and self.k1 > 1) else []
 
+    # forward and derivative are for a map that grades a face; an identity
+    # map is skipped by _graded
     def forward(self, u: np.ndarray) -> np.ndarray:
         k0, k1 = self.k0, self.k1
-        if k0 == 1 and k1 == 1:
-            return u
         if k1 == 1:
             out = u ** k0
         elif k0 == 1:
@@ -211,8 +212,6 @@ class _AxisMap:
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
         k0, k1 = self.k0, self.k1
-        if k0 == 1 and k1 == 1:
-            return np.ones_like(u)
         if k1 == 1:
             return k0 * u ** (k0 - 1)
         if k0 == 1:
@@ -392,7 +391,7 @@ def _panel_nodes(n, boxes):
     pts = np.empty((len(boxes), len(pts01), n))
     for ax, nodes in enumerate(pts01.T):
         pts[:, :, ax] = mid[:, ax, None] + half[:, ax, None] * nodes
-    return pts, np.prod(half, axis=1)
+    return pts, half.prod(axis=1)
 
 
 def _panel_sums(n, vals, vols):
@@ -406,15 +405,6 @@ def _panel_sums(n, vals, vols):
     vk, vg = np.matmul(vals[:, None, :], _tensor_rule(n)[1])[:, :, 0, 0] * vols
     return [(v, max(abs(v - g), abs(v) * 5e-16)) if finite else None for v, g, finite in
             zip(vk.tolist(), vg.tolist(), np.isfinite(vals).all(axis=1).tolist())]
-
-
-def _eval_panels(F, n, boxes):
-    """_panel_sums of each (lo, hi) box, from one call of F on all their
-    nodes."""
-    pts, vols = _panel_nodes(n, boxes)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(F(pts.reshape(-1, n)), dtype=float)
-        return _panel_sums(n, vals.reshape(len(boxes), -1), vols)
 
 
 def _halves(p: _Panel):
@@ -533,7 +523,7 @@ def _refine(n, tol, max_cells, seeds):
 
     shape = [len(s) for s in segments]
     boxes = []
-    for flat in range(int(np.prod(shape))):
+    for flat in range(math.prod(shape)):
         idx = []
         rem = flat
         for ax in range(n):
@@ -593,23 +583,6 @@ def _refine(n, tol, max_cells, seeds):
     return total, abs(err), len(alive), status, history
 
 
-def _adaptive_cube_fast(F, n, tol, max_cells, seeds):
-    """One refinement run (see _refine), each request evaluated by one call
-    of F; F's exceptions reach the run where its request was made."""
-    run = _refine(n, tol, max_cells, seeds)
-    try:
-        boxes = next(run)
-        while True:
-            try:
-                results = _eval_panels(F, n, boxes)
-            except Exception as exc:
-                boxes = run.throw(exc)
-            else:
-                boxes = run.send(results)
-    except StopIteration as done:
-        return done.value
-
-
 def _kept(exc: Exception) -> Exception:
     """exc, to be kept as a member's outcome, with the tracebacks of it and
     of the exceptions it chains dropped.  A frame links to its caller, so a
@@ -633,56 +606,56 @@ def _kept(exc: Exception) -> Exception:
 _LOCKSTEP_POINTS = 8 * _BATCH_POINTS
 
 
-def _lockstep(runs: dict, evaluate, alone, budget: int) -> dict:
+def _lockstep(runs: dict, evaluate, budget: int) -> dict:
     """Drive refinement runs (see _refine), keyed by member, together: each
     round makes one call evaluate({member: boxes}) -> {member: sums} for the
     requests of the live runs, in member order, whose evaluated and
     requested boxes fit in budget.  If that call raises, each request is
-    evaluated alone(member, boxes), so that a run sees only the exceptions
-    it would see by itself.  Returns {member: the run's result, or the
-    exception it raised}.  A run that raises ends the runs of the members
-    after it, which a loop over the members would not reach."""
+    evaluated by a call of its own, evaluate({member: boxes}), so that a run
+    sees only the exceptions it would see by itself.  Returns {member: the
+    run's result, or the exception it raised}.  A run that raises ends the
+    runs of the members after it, which a loop over the members would not
+    reach.  This is the only loop that runs _refine: a single integral is
+    a family of one.  evaluate runs under np.errstate(all="ignore"), which
+    is entered once for the whole drive."""
     out = {}
     asks = {}
     held = dict.fromkeys(runs, 0)  # boxes evaluated for each run
-
-    def step(k, resume, arg):
-        try:
-            asks[k] = resume(arg)
-        except StopIteration as done:
-            out[k] = done.value
-        except Exception as exc:  # the member's own outcome
-            out[k] = _kept(exc)
-
-    for k, run in runs.items():
-        step(k, run.send, None)
-    while asks:
-        todo = {}
-        used = 0
-        for k in sorted(asks):
-            used += held[k] + len(asks[k])
-            if todo and used > budget:
-                break  # this run and the later ones wait
-            todo[k] = asks.pop(k)
-            held[k] += len(todo[k])
-        try:
-            results = evaluate(todo)
-        except Exception as exc:
-            results = dict.fromkeys(todo, _kept(exc))
-            if len(todo) > 1:
-                for k, boxes in todo.items():
-                    try:
-                        results[k] = alone(k, boxes)
-                    except Exception as own:
-                        results[k] = _kept(own)
-        for k in sorted(results):
-            res = results[k]
-            step(k, runs[k].throw if isinstance(res, Exception) else runs[k].send, res)
-            if isinstance(out.get(k), Exception):
-                for j in [j for j in asks if j > k]:
-                    del asks[j]  # the runs after it are not resumed
-                break
-    return out
+    todo, results = runs, dict.fromkeys(runs)  # sending None starts a run
+    with np.errstate(all="ignore"):
+        while True:
+            for k in todo:  # in member order
+                res = results[k]
+                try:
+                    asks[k] = (runs[k].throw(res) if isinstance(res, Exception)
+                               else runs[k].send(res))
+                except StopIteration as done:
+                    out[k] = done.value
+                except Exception as exc:  # the member's own outcome
+                    out[k] = _kept(exc)
+                    for j in [j for j in asks if j > k]:
+                        del asks[j]  # the runs after it are not resumed
+                    break
+            if not asks:
+                return out
+            todo = {}
+            used = 0
+            for k in sorted(asks):
+                used += held[k] + len(asks[k])
+                if todo and used > budget:
+                    break  # this run and the later ones wait
+                todo[k] = asks.pop(k)
+                held[k] += len(todo[k])
+            try:
+                results = evaluate(todo)
+            except Exception as exc:
+                results = dict.fromkeys(todo, _kept(exc))
+                if len(todo) > 1:
+                    for k, boxes in todo.items():
+                        try:
+                            results[k] = evaluate({k: boxes})[k]
+                        except Exception as own:
+                            results[k] = _kept(own)
 
 
 # ---------------------------------------------------------------------------
@@ -694,12 +667,16 @@ def _restricted_value(F, n: int, delta: float) -> float:
     lo = delta
     hi = 1.0 - delta
 
-    def G(u):
+    def G(u, k):
         pts = lo + (hi - lo) * u
         return np.asarray(F(pts), dtype=float) * (hi - lo) ** n
 
-    total, _, _, _, _ = _adaptive_cube_fast(G, n, 1e-3, 4000, [[] for _ in range(n)])
-    return total
+    out = _lockstep({0: _refine(n, 1e-3, 4000, [[] for _ in range(n)])},
+                    _family_panels(G, n, {0: [_AxisMap(1, 1)] * n}),
+                    0)  # a lone run never waits, whatever the budget
+    if isinstance(out[0], Exception):
+        raise out.pop(0)
+    return out[0][0]
 
 
 _SCAN_DEPTHS = (8, 24, 72)
@@ -765,23 +742,13 @@ def _hints_for(sing: SingularityHints | None, n: int):
     return hints, declared
 
 
-def _graded(maps, u):
-    """The graded points t of unit-cube points u, and the maps' jacobian."""
-    t = np.empty_like(u)
-    jac = np.ones(u.shape[0])
+def _graded(maps, t, jac):
+    """Grade the unit-cube points t in place, and multiply jac by the maps'
+    jacobian at them."""
     for i, m in enumerate(maps):
-        t[:, i] = m.forward(u[:, i])
-        if (m.k0, m.k1) != (1, 1):  # an identity map's derivative is 1.0
-            jac *= m.derivative(u[:, i])
-    return t, jac
-
-
-def _graded_integrand(f, maps):
-    """f in the graded coordinates of maps, times the jacobian."""
-    def F(u):
-        t, jac = _graded(maps, np.asarray(u, dtype=float))
-        return np.asarray(f(t), dtype=float) * jac
-    return F
+        if (m.k0, m.k1) != (1, 1):  # an identity map moves nothing, derivative 1.0
+            jac *= m.derivative(t[:, i])
+            t[:, i] = m.forward(t[:, i])
 
 
 def _conclude(f, n: int, run) -> QuadResult:
@@ -821,30 +788,11 @@ def integrate_unit_cube(
         raise ValueError("n must be >= 1")
     if tol is None:
         tol = _DEFAULT_TOLS.get(n, _QMC_TOL)
-
-    # symbolic divergence: a declared non-integrable face exponent
-    hints, declared = _hints_for(sing, n)
-    if declared:
-        return _divergent_result()
-
-    hints, suspicious = _resolve_hints(hints, functools.partial(_probe_face_exponent, f, n))
-    maps, seeds = _build_transform(n, hints, breakpoints)
-    F = _graded_integrand(f, maps)
-
-    if suspicious and _divergence_scan(f, n):
-        return _divergent_result()
-
-    if n >= 4:
-        return _qmc_estimate(F, n, tol, seed)
-
-    if max_cells is None:
-        max_cells = _DEFAULT_MAX_CELLS[n]
-
-    try:
-        run = _adaptive_cube_fast(F, n, tol, max_cells, seeds)
-    except FloatingPointError:
-        return _divergent_result()
-    return _conclude(f, n, run)
+    out = _integrate_family(lambda t, k: f(t), n, [(sing, breakpoints, max_cells)], tol,
+                            lambda k: f, seed)
+    if isinstance(out[0], Exception):
+        raise out.pop()  # no local keeps it, so its traceback closes no cycle
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -856,32 +804,35 @@ def _family_panels(f, n: int, maps: dict):
     on the graded nodes of every member's boxes.  Members whose axis maps
     agree are graded together, as one slice of rows, so that each map keeps
     a scalar exponent (numpy rounds some scalar powers, such as squares,
-    differently from the same power with an array exponent)."""
-    groups: dict[tuple, list] = {}
+    differently from the same power with an array exponent).  A call whose
+    members grade no axis has no jacobian to take."""
+    groups: dict[tuple, int] = {}  # the maps' exponents -> their group
+    group_of, graded = {}, set()
     for k, ms in maps.items():
-        groups.setdefault(tuple((m.k0, m.k1) for m in ms), []).append(k)
-    group_of = {k: g for g, ks in enumerate(groups.values()) for k in ks}
-    group_maps = [maps[ks[0]] for ks in groups.values()]
+        key = tuple((m.k0, m.k1) for m in ms)
+        group_of[k] = groups.setdefault(key, len(groups))
+        if key != ((1, 1),) * n:
+            graded.add(k)
 
     def evaluate(asks):
         owners = sorted(asks, key=group_of.__getitem__)
         boxes = [box for k in owners for box in asks[k]]
         pts, vols = _panel_nodes(n, boxes)
-        u = pts.reshape(-1, n)
-        rows_of = [len(asks[k]) * pts.shape[1] for k in owners]
-        group_rows = {}  # in group order, as the owners are
-        for k, rows in zip(owners, rows_of):
-            group_rows[group_of[k]] = group_rows.get(group_of[k], 0) + rows
-        t = np.empty_like(u)
-        jac = np.empty(len(u))
-        with np.errstate(all="ignore"):
-            start = 0
-            for g, rows in group_rows.items():
-                part = slice(start, start + rows)
-                t[part], jac[part] = _graded(group_maps[g], u[part])
-                start += rows
-            vals = np.asarray(f(t, np.repeat(owners, rows_of)), dtype=float) * jac
-            sums = _panel_sums(n, vals.reshape(len(boxes), -1), vols)
+        rows = [len(asks[k]) * pts.shape[1] for k in owners]
+        t = pts.reshape(-1, n)  # graded in place
+        jac = None
+        if not graded.isdisjoint(asks):
+            jac = np.ones(len(t))
+            start = end = 0
+            for i, k in enumerate(owners):  # a group's rows at a time
+                end += rows[i]
+                if i + 1 == len(owners) or group_of[owners[i + 1]] != group_of[k]:
+                    _graded(maps[k], t[start:end], jac[start:end])
+                    start = end
+        vals = np.asarray(f(t, np.array(owners).repeat(rows)), dtype=float)
+        if jac is not None:
+            vals = vals * jac
+        sums = _panel_sums(n, vals.reshape(len(boxes), -1), vols)
         out = {}
         start = 0
         for k in owners:
@@ -892,13 +843,11 @@ def _family_panels(f, n: int, maps: dict):
     return evaluate
 
 
-def _integrate_family(f, n: int, members: list, tol: float) -> list:
-    """integrate_unit_cube (n <= 3) of each member of the row-wise family
-    f(t, k), with members[k] = (sing, breakpoints, max_cells), all in
-    lockstep; the outcomes are those of integrate_intervals."""
-    def alone(k):
-        return lambda t: f(t, np.full(len(t), k))
-
+def _integrate_family(f, n: int, members: list, tol: float, member, seed: int = 0) -> list:
+    """integrate_unit_cube of each member of the row-wise family f(t, k),
+    with members[k] = (sing, breakpoints, max_cells), all in lockstep;
+    member(k) is member k's integrand of t alone.  The outcomes are those of
+    integrate_intervals."""
     hints = [_hints_for(sing, n) for sing, _, _ in members]
     count = next((k + 1 for k, (_, declared) in enumerate(hints) if declared), len(members))
     # the faces of every member probed with one call
@@ -912,26 +861,25 @@ def _integrate_family(f, n: int, members: list, tol: float) -> list:
             decided[k] = _divergent_result()
             break
         if estimates is None:  # the combined probe raised: probe alone
-            estimate = functools.partial(_probe_face_exponent, alone(k), n)
+            estimate = functools.partial(_probe_face_exponent, member(k), n)
         else:
             estimate = lambda axis, face, k=k: estimates[k, axis, face]
         h, suspicious = _resolve_hints(h, estimate)
         maps[k], seeds = _build_transform(n, h, members[k][1])
-        if suspicious:
-            try:
-                diverges = _divergence_scan(alone(k), n)
-            except Exception as exc:
-                decided[k] = _kept(exc)
-                break
-            if diverges:
+        try:
+            if suspicious and _divergence_scan(member(k), n):
                 decided[k] = _divergent_result()
                 break
+            if n >= 4:
+                decided[k] = _qmc_estimate(member(k), maps[k], n, tol, seed)
+                continue
+        except Exception as exc:
+            decided[k] = _kept(exc)
+            break
         cap = members[k][2]
         runs[k] = _refine(n, tol, _DEFAULT_MAX_CELLS[n] if cap is None else cap, seeds)
-    runs = _lockstep(
-        runs, _family_panels(f, n, {k: maps[k] for k in runs}),
-        lambda k, boxes: _eval_panels(_graded_integrand(alone(k), maps[k]), n, boxes),
-        _LOCKSTEP_POINTS // 15 ** n)
+    runs = _lockstep(runs, _family_panels(f, n, {k: maps[k] for k in runs}),
+                     _LOCKSTEP_POINTS // 15 ** n)
 
     out = []
     for k in range(count):
@@ -943,7 +891,7 @@ def _integrate_family(f, n: int, members: list, tol: float) -> list:
             res = runs[k]
         else:
             try:
-                res = _conclude(alone(k), n, runs[k])
+                res = _conclude(member(k), n, runs[k])
             except Exception as exc:
                 res = _kept(exc)
         out.append(res)
@@ -952,7 +900,9 @@ def _integrate_family(f, n: int, members: list, tol: float) -> list:
     return out
 
 
-def _qmc_estimate(F, n: int, tol: float, seed: int) -> QuadResult:
+def _qmc_estimate(f, maps, n: int, tol: float, seed: int) -> QuadResult:
+    """Scrambled-Sobol estimate of f over (0,1)^n, in the graded coordinates
+    of maps."""
     from scipy.stats import qmc
 
     replicates = 8
@@ -962,7 +912,9 @@ def _qmc_estimate(F, n: int, tol: float, seed: int) -> QuadResult:
         sob = qmc.Sobol(d=n, scramble=True, seed=seed * 1009 + k)
         pts = sob.random(npts)
         pts = np.clip(pts, 1e-12, 1.0 - 1e-12)
-        means.append(float(np.mean(np.asarray(F(pts), dtype=float))))
+        jac = np.ones(npts)
+        _graded(maps, pts, jac)
+        means.append(float(np.mean(np.asarray(f(pts), dtype=float) * jac)))
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(replicates))
     err = 3.0 * stderr
@@ -1071,4 +1023,5 @@ def integrate_intervals(f, members: list, tol: float = 1e-10) -> list:
         x = lo[k] + width[k] * u[:, 0]
         return np.asarray(f(x, k), dtype=float) * width[k]
 
-    return _integrate_family(g, 1, [unit[1:] for unit in units], tol)
+    return _integrate_family(g, 1, [unit[1:] for unit in units], tol,
+                             lambda k: lambda u: g(u, np.full(len(u), k)))

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -195,6 +196,19 @@ def test_probe_uses_every_anchor_in_2d():
     assert seen == [(len(_PROBE_H), 2)] * 3
 
 
+def test_a_single_integral_probes_all_its_faces_in_one_call():
+    rows = []
+
+    def f(t):
+        rows.append(len(t))
+        return (t[:, 0] * t[:, 1]) ** -0.25 * (1.0 + t[:, 0])
+
+    res = integrate_unit_cube(f, 2)  # all four faces unknown
+    assert res.converged
+    assert rows[0] == 4 * 3 * len(_PROBE_H)  # four faces, three anchors each
+    assert all(r % 15 ** 2 == 0 for r in rows[1:])  # then only panels
+
+
 # ---------------------------------------------------------------------------
 # batched evaluation: the same results as one split per integrand call
 # ---------------------------------------------------------------------------
@@ -205,18 +219,30 @@ def _one_split_per_call(monkeypatch):
     monkeypatch.setattr(quad, "_BATCH_POINTS", 1)
 
 
+def _bare_run(f, n, tol, max_cells, seeds):
+    """One refinement run of f on the unit cube, ungraded, driven by
+    quad._lockstep: its (total, err, cells, status, history), or it raises
+    what the run raised."""
+    out = quad._lockstep({0: quad._refine(n, tol, max_cells, seeds)},
+                         quad._family_panels(lambda t, k: f(t), n,
+                                             {0: [quad._AxisMap(1, 1)] * n}), 0)
+    if isinstance(out[0], Exception):
+        raise out.pop(0)
+    return out[0]
+
+
 def _core_results(monkeypatch, run):
-    """Every (total, err, cells, status, history) of _adaptive_cube_fast
-    during run(), batched and then one split per call."""
-    real = quad._adaptive_cube_fast
+    """Every (total, err, cells, status, history) of a refinement run during
+    run(), batched and then one split per call."""
+    real = quad._refine
     seen = []
 
     def recording(*args):
-        out = real(*args)
+        out = yield from real(*args)
         seen.append(repr(out))
         return out
 
-    monkeypatch.setattr(quad, "_adaptive_cube_fast", recording)
+    monkeypatch.setattr(quad, "_refine", recording)
     batched = (repr(run()), list(seen))
     seen.clear()
     _one_split_per_call(monkeypatch)
@@ -242,7 +268,7 @@ def _bumpy(t):
     # n = 3, faces probed
     lambda: integrate_unit_cube(lambda t: (t[:, 0] * t[:, 1] + t[:, 2]) ** -0.5, 3),
     # capped at 8 cells, in 1-D and 2-D
-    lambda: quad._adaptive_cube_fast(_bumpy, 1, 1e-14, 8, [[]]),
+    lambda: _bare_run(_bumpy, 1, 1e-14, 8, [[]]),
     lambda: integrate_unit_cube(lambda t: np.sin(40.0 * t[:, 0] * t[:, 1]), 2,
                                 sing=SingularityHints.regular(2), max_cells=8),
     # capped at 300 cells by a log-divergent face
@@ -332,11 +358,11 @@ _SPECULATIVE_NODE = 0.84375
 @pytest.mark.parametrize("raise_error", [False, True], ids=["nan", "domain-error"])
 def test_speculative_halves_never_change_a_capped_result(monkeypatch, raise_error):
     f, hits = _poisoned(_SPECULATIVE_NODE, raise_error)
-    batched = quad._adaptive_cube_fast(f, 1, 1e-14, 8, [[]])
+    batched = _bare_run(f, 1, 1e-14, 8, [[]])
     assert hits  # the poisoned half was evaluated ahead of greedy
     _one_split_per_call(monkeypatch)
     hits.clear()
-    single = quad._adaptive_cube_fast(f, 1, 1e-14, 8, [[]])
+    single = _bare_run(f, 1, 1e-14, 8, [[]])
     assert not hits
     assert repr(batched) == repr(single)
     assert batched[2:4] == (8, "max-cells-reached")
@@ -348,7 +374,7 @@ def test_poison_greedy_reaches_keeps_its_outcome(monkeypatch, batched):
         _one_split_per_call(monkeypatch)
     f, _ = _poisoned(_SPECULATIVE_NODE, raise_error=False)
     with pytest.raises(FloatingPointError):
-        quad._adaptive_cube_fast(f, 1, 1e-14, 9, [[]])
+        _bare_run(f, 1, 1e-14, 9, [[]])
     res = integrate_unit_cube(f, 1, sing=SingularityHints.regular(1), tol=1e-14,
                               max_cells=9)
     assert res.divergent
@@ -358,18 +384,51 @@ def test_poison_greedy_reaches_keeps_its_outcome(monkeypatch, batched):
                             max_cells=9)
 
 
+def _scan_raises(t):
+    """t^-0.99: probed as suspicious, and its divergence scan raises."""
+    if (t[:, 0] < 1e-3).any():
+        raise DomainError("below 1e-3")
+    return t[:, 0] ** -0.99
+
+
+def test_raising_integrals_leave_no_reference_cycles():
+    # an exception kept as a run's outcome is raised again with a new
+    # traceback; if a frame of that traceback still held it, the frames and
+    # the panels they hold would wait for the garbage collector
+    poisoned, _ = _poisoned(_SPECULATIVE_NODE, raise_error=True)
+    integrals = [
+        lambda: integrate_unit_cube(poisoned, 1, sing=SingularityHints.regular(1),
+                                    tol=1e-14, max_cells=9),  # raises where greedy reaches
+        lambda: integrate_unit_cube(_scan_raises, 1),
+    ]
+    raised = 0
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(25):
+            for run in integrals:
+                try:
+                    run()
+                except DomainError:
+                    raised += 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert raised == 50
+
+
 def test_batching_cuts_integrand_calls_not_points(monkeypatch):
     # the two-slot diagonal constant 16/9 by forced quadrature: a converging
     # 2-D integral of a monomial with graded faces
-    real = quad._eval_panels
+    real = quad._panel_nodes  # called once per integrand call on panels
     counts = []
 
-    def counting(F, n, boxes):
+    def counting(n, boxes):
         counts[-1][0] += 1
         counts[-1][1] += len(boxes) * 15 ** n
-        return real(F, n, boxes)
+        return real(n, boxes)
 
-    monkeypatch.setattr(quad, "_eval_panels", counting)
+    monkeypatch.setattr(quad, "_panel_nodes", counting)
     values = []
     for batched in (True, False):
         if not batched:

@@ -1,0 +1,101 @@
+"""Time the quadrature layer of two checkouts against each other, one fixed
+integral at a time, in one process.
+
+    python3 tools/quad_ab.py PARENT CHANGE [--rounds N]
+
+`hardylab/quad.py` imports only numpy and scipy, so the tool loads each
+checkout's `src/hardylab/quad.py` under a module name of its own, with one
+BLAS thread.  For each fixed integral it first checks that both give the
+same `repr` (value, errors, status and cells to the last bit); a mismatch is
+an error.  Then it runs N rounds, alternating which side goes first, and
+times each side on a batch of calls in each round.  It prints each side's
+median µs per call and the median over rounds of the per-round ratio
+CHANGE / PARENT.  Interleaved rounds in one process resolve a few percent,
+which whole benchmark runs on a shared host do not.
+"""
+
+import argparse
+import importlib.util
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def load_quad(checkout: Path, name: str):
+    path = checkout / "src" / "hardylab" / "quad.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases(np):
+    """(name, call) pairs; call(q) runs one integral with quad module q."""
+    def bumpy(t):
+        x = t[:, 0]
+        return np.exp(3.0 * x) * np.sin(7.0 * x) + 1.0 / (1.05 - x)
+
+    return [
+        ("smooth n=1", lambda q: q.integrate_unit_cube(
+            lambda t: np.exp(t[:, 0]), 1, sing=q.SingularityHints.regular(1), tol=1e-10)),
+        ("probed n=1", lambda q: q.integrate_unit_cube(
+            lambda t: t[:, 0] ** -0.5 * np.exp(t[:, 0]), 1)),
+        ("probed n=2", lambda q: q.integrate_unit_cube(
+            lambda t: (t[:, 0] * t[:, 1]) ** -0.25 * (1.0 + t[:, 0]), 2)),
+        ("graded n=2", lambda q: q.integrate_unit_cube(
+            lambda t: t[:, 0] ** -0.6 * t[:, 1] ** -0.3 * (1.0 + t[:, 0] * t[:, 1]), 2,
+            sing=q.SingularityHints(zero=(-0.6, -0.3), one=(0.0, 0.0)))),
+        # probed at about -0.985: scanned, found convergent, then integrated
+        ("suspicious scan", lambda q: q.integrate_unit_cube(lambda t: t[:, 0] ** -0.985, 1)),
+        ("integrate_interval", lambda q: q.integrate_interval(
+            lambda x: np.abs(np.log(np.abs(x))), -1.0, 3.0, breakpoints=[0.0, 1.0])),
+        # capped at 8 cells, then a divergence scan
+        ("capped 8 cells", lambda q: q.integrate_unit_cube(
+            bumpy, 1, sing=q.SingularityHints.regular(1), tol=1e-14, max_cells=8)),
+    ]
+
+
+def per_call_s(call, q, calls: int) -> float:
+    start = time.perf_counter()
+    for _ in range(calls):
+        call(q)
+    return (time.perf_counter() - start) / calls
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--rounds", type=int, default=15)
+    ap.add_argument("--seconds", type=float, default=0.05,
+                    help="about how long each side runs per round and integral")
+    args = ap.parse_args(argv)
+    os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads
+    import numpy as np
+
+    sides = (load_quad(args.parent.resolve(), "quad_parent"),
+             load_quad(args.change.resolve(), "quad_change"))
+    print(f"{'integral':<20} {'parent µs':>10} {'change µs':>10} {'ratio':>7}")
+    for name, call in cases(np):
+        got = [repr(call(q)) for q in sides]
+        if got[0] != got[1]:
+            raise SystemExit(f"{name}: results differ\n  parent {got[0]}\n  change {got[1]}")
+        calls = max(1, round(args.seconds / per_call_s(call, sides[0], 3)))
+        times = ([], [])
+        for r in range(args.rounds):
+            for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+                times[side].append(per_call_s(call, sides[side], calls))
+        ratio = statistics.median(c / p for p, c in zip(*times))
+        parent, change = (statistics.median(t) * 1e6 for t in times)
+        print(f"{name:<20} {parent:>10.1f} {change:>10.1f} {ratio:>7.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
