@@ -360,16 +360,15 @@ class _Panel:
 
 @functools.lru_cache(maxsize=None)
 def _tensor_rule(n: int):
-    grids = np.meshgrid(*([_XGK] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)  # in [-1, 1]^n
-    wk = np.ones(pts.shape[0])
-    wg = np.ones(pts.shape[0])
-    for ax in range(n):
-        idx = np.meshgrid(*([np.arange(15)] * n), indexing="ij")[ax].ravel()
-        wk *= _WGK[idx]
-        wg *= _WG7[idx]
-    # the Kronrod and Gauss weights as a (2, 1, 15^n, 1) stack of columns
-    return pts, np.stack([wk, wg])[:, None, :, None]
+    """The Kronrod and Gauss weights of the 15^n-point tensor rule, as a
+    (2, 1, 15^n, 1) stack of columns, in the order of the nodes' grid (the
+    first axis varies slowest)."""
+    wk = np.ones(15 ** n)
+    wg = np.ones(15 ** n)
+    for idx in np.meshgrid(*([np.arange(15)] * n), indexing="ij"):
+        wk *= _WGK[idx.ravel()]
+        wg *= _WG7[idx.ravel()]
+    return np.stack([wk, wg])[:, None, :, None]
 
 
 # the most points one integrand call evaluates, in whole panels but never
@@ -380,18 +379,14 @@ _BATCH_POINTS = 8192
 
 
 def _panel_nodes(n, boxes):
-    """The Kronrod nodes of each (lo, hi) box, an (boxes, 15^n, n) array, and
-    each box's half-volume."""
-    pts01 = _tensor_rule(n)[0]
+    """The 15 Kronrod nodes of each (lo, hi) box along each axis, an
+    (n, boxes, 15) array whose rows [:, b] span box b's tensor grid of 15^n
+    nodes, and each box's half-volume."""
     lo = np.array([box[0] for box in boxes])
     hi = np.array([box[1] for box in boxes])
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    # mid + half * node, a coordinate at a time (long inner loops)
-    pts = np.empty((len(boxes), len(pts01), n))
-    for ax, nodes in enumerate(pts01.T):
-        pts[:, :, ax] = mid[:, ax, None] + half[:, ax, None] * nodes
-    return pts, half.prod(axis=1)
+    return mid.T[:, :, None] + half.T[:, :, None] * _XGK, half.prod(axis=1)
 
 
 def _panel_sums(n, vals, vols):
@@ -402,7 +397,7 @@ def _panel_sums(n, vals, vols):
     # per row and weight, the dot np.dot(w, row) takes.  One vals @ w would
     # round differently in the last bit, and a panel's value must not depend
     # on its batch.
-    vk, vg = np.matmul(vals[:, None, :], _tensor_rule(n)[1])[:, :, 0, 0] * vols
+    vk, vg = np.matmul(vals[:, None, :], _tensor_rule(n))[:, :, 0, 0] * vols
     return [(v, max(abs(v - g), abs(v) * 5e-16)) if finite else None for v, g, finite in
             zip(vk.tolist(), vg.tolist(), np.isfinite(vals).all(axis=1).tolist())]
 
@@ -662,23 +657,6 @@ def _lockstep(runs: dict, evaluate, budget: int) -> dict:
 # divergence scan
 # ---------------------------------------------------------------------------
 
-def _restricted_value(F, n: int, delta: float) -> float:
-    """Integral of F over [delta, 1-delta]^n at loose tolerance."""
-    lo = delta
-    hi = 1.0 - delta
-
-    def G(u, k):
-        pts = lo + (hi - lo) * u
-        return np.asarray(F(pts), dtype=float) * (hi - lo) ** n
-
-    out = _lockstep({0: _refine(n, 1e-3, 4000, [[] for _ in range(n)])},
-                    _family_panels(G, n, {0: [_AxisMap(1, 1)] * n}),
-                    0)  # a lone run never waits, whatever the budget
-    if isinstance(out[0], Exception):
-        raise out.pop(0)
-    return out[0][0]
-
-
 _SCAN_DEPTHS = (8, 24, 72)
 
 
@@ -686,19 +664,34 @@ def _divergence_scan(f, n: int) -> bool:
     """Shrink the domain toward the faces at increasing dyadic depths.
 
     Runs on the original (untransformed) integrand, in the original
-    coordinates.
+    coordinates: the integrals of f over [delta, 1-delta]^n, one per depth,
+    at loose tolerance, as one lockstep family.  A FloatingPointError at the
+    first depth whose integral fails means divergent; any other exception
+    is raised.
 
     Divergence is declared when the partial integrals grow by more than a
     factor of ten (algebraic blow-up), or when they keep growing at a
     non-decaying per-octave rate (log-type divergence; a convergent integral
     has per-octave increments that decay geometrically).
     """
+    deltas = [2.0 ** (-depth) for depth in _SCAN_DEPTHS]
+    widths = [(1.0 - delta) - delta for delta in deltas]
+    scale = np.array([w ** n for w in widths])  # float powers; an array power may round otherwise
+    lo, width = np.array(deltas)[:, None], np.array(widths)[:, None]
+
+    def G(u, k):
+        return np.asarray(f(lo[k] + width[k] * u), dtype=float) * scale[k]
+
+    runs = {k: _refine(n, 1e-3, 4000, [[]] * n) for k in range(len(_SCAN_DEPTHS))}
+    out = _lockstep(runs, _family_panels(G, n, dict.fromkeys(runs, [_AxisMap(1, 1)] * n)),
+                    _LOCKSTEP_POINTS // 15 ** n)
     values = []
-    for depth in _SCAN_DEPTHS:
-        try:
-            values.append(_restricted_value(f, n, 2.0 ** (-depth)))
-        except FloatingPointError:
+    for k in runs:  # in depth order, as a loop over the depths would stop
+        if isinstance(out[k], FloatingPointError):
             return True
+        if isinstance(out[k], Exception):
+            raise out.pop(k)  # no local keeps it, so its traceback closes no cycle
+        values.append(out[k][0])
     v1, v2, v3 = (abs(v) for v in values)
     if v3 > 10.0 * max(v1, 1e-300) and v2 > v1:
         return True
@@ -742,13 +735,14 @@ def _hints_for(sing: SingularityHints | None, n: int):
     return hints, declared
 
 
-def _graded(maps, t, jac):
-    """Grade the unit-cube points t in place, and multiply jac by the maps'
-    jacobian at them."""
-    for i, m in enumerate(maps):
+def _graded(maps, axes, jac):
+    """Grade each axis's coordinates axes[i] in place, and multiply jac by
+    the maps' jacobian at them, an axis at a time; axes[i] broadcasts
+    against jac."""
+    for m, u in zip(maps, axes):
         if (m.k0, m.k1) != (1, 1):  # an identity map moves nothing, derivative 1.0
-            jac *= m.derivative(t[:, i])
-            t[:, i] = m.forward(t[:, i])
+            jac *= m.derivative(u)
+            u[...] = m.forward(u)
 
 
 def _conclude(f, n: int, run) -> QuadResult:
@@ -801,11 +795,14 @@ def integrate_unit_cube(
 
 def _family_panels(f, n: int, maps: dict):
     """evaluate({member: boxes}) for _lockstep: one call of the family f(t, k)
-    on the graded nodes of every member's boxes.  Members whose axis maps
-    agree are graded together, as one slice of rows, so that each map keeps
-    a scalar exponent (numpy rounds some scalar powers, such as squares,
-    differently from the same power with an array exponent).  A call whose
-    members grade no axis has no jacobian to take."""
+    on the graded nodes of every member's boxes.  A map acts on one axis, so
+    it grades each box's 15 nodes along its axis, not the 15^n points, and
+    the jacobian is the product of the axes' derivatives over the grid.
+    Members whose axis maps agree are graded together, as one slice of
+    boxes, so that each map keeps a scalar exponent (numpy rounds some
+    scalar powers, such as squares, differently from the same power with an
+    array exponent).  A call whose members grade no axis has no jacobian to
+    take."""
     groups: dict[tuple, int] = {}  # the maps' exponents -> their group
     group_of, graded = {}, set()
     for k, ms in maps.items():
@@ -817,21 +814,31 @@ def _family_panels(f, n: int, maps: dict):
     def evaluate(asks):
         owners = sorted(asks, key=group_of.__getitem__)
         boxes = [box for k in owners for box in asks[k]]
-        pts, vols = _panel_nodes(n, boxes)
-        rows = [len(asks[k]) * pts.shape[1] for k in owners]
-        t = pts.reshape(-1, n)  # graded in place
+        nodes, vols = _panel_nodes(n, boxes)
+        # axis i's nodes, shaped to broadcast along axis i + 1 of the
+        # (boxes, 15, ..., 15) grid of points, are graded in place
+        axes = nodes if n == 1 else [a.reshape((-1,) + (1,) * i + (15,) + (1,) * (n - 1 - i))
+                                     for i, a in enumerate(nodes)]
         jac = None
         if not graded.isdisjoint(asks):
-            jac = np.ones(len(t))
+            jac = np.ones((len(boxes),) + (15,) * n)
             start = end = 0
-            for i, k in enumerate(owners):  # a group's rows at a time
-                end += rows[i]
+            for i, k in enumerate(owners):  # a group's boxes at a time
+                end += len(asks[k])
                 if i + 1 == len(owners) or group_of[owners[i + 1]] != group_of[k]:
-                    _graded(maps[k], t[start:end], jac[start:end])
+                    _graded(maps[k], [a[start:end] for a in axes], jac[start:end])
                     start = end
+        if n == 1:
+            t = nodes.reshape(-1, 1)  # the nodes already are the points
+        else:
+            t = np.empty((len(boxes),) + (15,) * n + (n,))
+            for i, a in enumerate(axes):
+                t[..., i] = a
+            t = t.reshape(-1, n)
+        rows = [len(asks[k]) * 15 ** n for k in owners]
         vals = np.asarray(f(t, np.array(owners).repeat(rows)), dtype=float)
         if jac is not None:
-            vals = vals * jac
+            vals = vals * jac.reshape(-1)
         sums = _panel_sums(n, vals.reshape(len(boxes), -1), vols)
         out = {}
         start = 0
@@ -878,8 +885,9 @@ def _integrate_family(f, n: int, members: list, tol: float, member, seed: int = 
             break
         cap = members[k][2]
         runs[k] = _refine(n, tol, _DEFAULT_MAX_CELLS[n] if cap is None else cap, seeds)
-    runs = _lockstep(runs, _family_panels(f, n, {k: maps[k] for k in runs}),
-                     _LOCKSTEP_POINTS // 15 ** n)
+    if runs:
+        runs = _lockstep(runs, _family_panels(f, n, {k: maps[k] for k in runs}),
+                         _LOCKSTEP_POINTS // 15 ** n)
 
     out = []
     for k in range(count):
@@ -913,7 +921,7 @@ def _qmc_estimate(f, maps, n: int, tol: float, seed: int) -> QuadResult:
         pts = sob.random(npts)
         pts = np.clip(pts, 1e-12, 1.0 - 1e-12)
         jac = np.ones(npts)
-        _graded(maps, pts, jac)
+        _graded(maps, pts.T, jac)
         means.append(float(np.mean(np.asarray(f(pts), dtype=float) * jac)))
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(replicates))

@@ -275,9 +275,9 @@ def _bumpy(t):
     lambda: integrate_unit_cube(
         lambda t: 1.0 / (t[:, 0] * np.log(1.0 / t[:, 0]) ** 0.9), 1,
         sing=SingularityHints.regular(1), max_cells=300),
-    # divergence scans
-    lambda: quad._restricted_value(lambda t: 1.0 / t[:, 0], 1, 2.0 ** -24),
-    lambda: quad._restricted_value(lambda t: (t[:, 0] * t[:, 1]) ** -0.9, 2, 2.0 ** -24),
+    # divergence scans, three depths in lockstep
+    lambda: quad._divergence_scan(lambda t: 1.0 / t[:, 0], 1),
+    lambda: quad._divergence_scan(lambda t: (t[:, 0] * t[:, 1]) ** -0.9, 2),
 ], ids=["n1-breakpoints", "n2-graded", "n3-probed", "n1-capped8", "n2-capped8",
         "n1-capped300", "scan-n1", "scan-n2"])
 def test_batched_core_is_bit_identical_to_one_split_per_call(monkeypatch, run):
@@ -286,10 +286,72 @@ def test_batched_core_is_bit_identical_to_one_split_per_call(monkeypatch, run):
     assert batched == single
 
 
+def _graded_rows(f, n, maps, boxes, k):
+    """The reference for member k of quad._family_panels: the (N, n) points
+    of the boxes' tensor grids, graded a column at a time, the rows of
+    integrand values times jacobian that its panel sums are taken of, and
+    the boxes' half-volumes."""
+    grid = np.stack([g.ravel() for g in np.meshgrid(*[quad._XGK] * n, indexing="ij")], axis=1)
+    lo = np.array([box[0] for box in boxes])
+    hi = np.array([box[1] for box in boxes])
+    t = (0.5 * (hi + lo)[:, None, :] + 0.5 * (hi - lo)[:, None, :] * grid).reshape(-1, n)
+    jac = np.ones(len(t))
+    for i, m in enumerate(maps):
+        if (m.k0, m.k1) != (1, 1):
+            jac *= m.derivative(t[:, i])
+            t[:, i] = m.forward(t[:, i])
+    vals = f(t, np.full(len(t), k)) * jac
+    return t, vals.reshape(len(boxes), -1), np.prod(0.5 * (hi - lo), axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_family_panels_grade_per_axis_as_the_full_point_array(monkeypatch, n):
+    rest = n - 1
+    maps = {  # identity, one-face and two-face maps; members 1 and 3 share a group
+        0: [(1, 1)] * n,
+        1: [(7, 1)] + [(1, 1)] * rest,
+        2: [(2, 5)] + [(1, 4)] * rest,
+        3: [(7, 1)] + [(1, 1)] * rest,
+        4: [(1, 1)] * rest + [(3, 3)],
+    }
+    maps = {k: [quad._AxisMap(*m) for m in ms] for k, ms in maps.items()}
+    rng = np.random.default_rng(n)
+
+    def box():
+        width = 2.0 ** -rng.integers(0, 40)
+        lo = tuple(float(rng.choice([0.0, 1.0 - width, rng.uniform(0.0, 1.0 - width)]))
+                   for _ in range(n))
+        return lo, tuple(a + width for a in lo)
+
+    asks = {k: [box() for _ in range(1 + k % 3)] for k in (2, 0, 4, 3, 1)}
+    calls, rows = [], []
+
+    def f(t, k):
+        calls.append((t.copy(), k.copy()))
+        return np.exp(-t.sum(axis=1)) * (1.0 + k) + np.sqrt(t[:, -1]) / t[:, 0] ** 0.3
+
+    real = quad._panel_sums
+
+    def recording(n, vals, vols):
+        rows.append(vals.copy())
+        return real(n, vals, vols)
+
+    monkeypatch.setattr(quad, "_panel_sums", recording)
+    with np.errstate(all="ignore"):
+        got = quad._family_panels(f, n, maps)(asks)
+        (t, owner), = calls
+        (vals,) = rows
+        for k, boxes in asks.items():
+            ref_t, ref_vals, ref_vols = _graded_rows(f, n, maps[k], boxes, k)
+            assert np.array_equal(t[owner == k], ref_t)
+            assert repr(vals[owner[::15 ** n] == k].tolist()) == repr(ref_vals.tolist())
+            assert repr(got[k]) == repr(real(n, ref_vals, ref_vols))
+
+
 def _panel_sums_by_row(n, vals, vols):
     """The reference for quad._panel_sums: one np.dot per row, in Python
     floats."""
-    wk, wg = quad._tensor_rule(n)[1].reshape(2, -1)
+    wk, wg = quad._tensor_rule(n).reshape(2, -1)
     out = []
     for row, vol in zip(vals, vols):
         if not np.isfinite(row).all():
@@ -415,6 +477,53 @@ def test_raising_integrals_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert raised == 50
+
+
+def _scan_depth_alone(f, n, delta):
+    """One depth of the divergence scan as a one-member drive: the run of f
+    over [delta, 1 - delta]^n at tolerance 1e-3, its result or what it
+    raised."""
+    lo, hi = delta, 1.0 - delta
+
+    def G(u, k):
+        return np.asarray(f(lo + (hi - lo) * u), dtype=float) * (hi - lo) ** n
+
+    return quad._lockstep({0: quad._refine(n, 1e-3, 4000, [[] for _ in range(n)])},
+                          quad._family_panels(G, n, {0: [quad._AxisMap(1, 1)] * n}), 0)[0]
+
+
+@pytest.mark.parametrize("f, n, outcome", [
+    (lambda t: t[:, 0] ** -0.5, 1, False),
+    (lambda t: 1.0 / t[:, 0], 1, True),
+    (lambda t: (t[:, 0] * t[:, 1]) ** -0.9, 2, False),
+    # non-finite below 2^-30: only the deepest depth reaches it
+    (lambda t: np.where(t[:, 0] < 2.0 ** -30, np.nan, t[:, 0] ** -0.9), 1, True),
+    # non-finite below 2^-20: the middle depth fails first
+    (lambda t: np.where(t[:, 0] < 2.0 ** -20, np.nan, t[:, 0] ** -0.9), 1, True),
+    (_scan_raises, 1, DomainError),  # the middle depth raises
+], ids=["convergent", "divergent", "n2", "nan-deepest", "nan-middle", "raises"])
+def test_lockstep_scan_matches_one_drive_per_depth(monkeypatch, f, n, outcome):
+    real = quad._lockstep
+    families = []
+
+    def recording(runs, evaluate, budget):
+        out = real(runs, evaluate, budget)
+        families.append({k: _outcome(res) for k, res in out.items()})
+        return out
+
+    monkeypatch.setattr(quad, "_lockstep", recording)
+    if outcome is DomainError:
+        with pytest.raises(DomainError):
+            quad._divergence_scan(f, n)
+    else:
+        assert quad._divergence_scan(f, n) is outcome
+    (together,) = families  # the three depths ran as one family
+    alone = []  # a loop over the depths, stopping at the first that fails
+    for depth in quad._SCAN_DEPTHS:
+        alone.append(_scan_depth_alone(f, n, 2.0 ** -depth))
+        if isinstance(alone[-1], Exception):
+            break
+    assert [together[k] for k in range(len(alone))] == [_outcome(r) for r in alone]
 
 
 def test_batching_cuts_integrand_calls_not_points(monkeypatch):

@@ -51,6 +51,11 @@ def cases(np):
         ("graded n=2", lambda q: q.integrate_unit_cube(
             lambda t: t[:, 0] ** -0.6 * t[:, 1] ** -0.3 * (1.0 + t[:, 0] * t[:, 1]), 2,
             sing=q.SingularityHints(zero=(-0.6, -0.3), one=(0.0, 0.0)))),
+        # the shape of the cube benchmark's forced n = 3 constants: a monomial
+        # with declared negative face exponents, graded on every axis
+        ("graded n=3", lambda q: q.integrate_unit_cube(
+            lambda t: 0.7 * t[:, 0] ** -0.6 * t[:, 1] ** -0.3 * t[:, 2] ** -0.45, 3,
+            sing=q.SingularityHints(zero=(-0.6, -0.3, -0.45), one=(0.0, 0.0, 0.0)))),
         # probed at about -0.985: scanned, found convergent, then integrated
         ("suspicious scan", lambda q: q.integrate_unit_cube(lambda t: t[:, 0] ** -0.985, 1)),
         ("integrate_interval", lambda q: q.integrate_interval(
@@ -58,6 +63,9 @@ def cases(np):
         # capped at 8 cells, then a divergence scan
         ("capped 8 cells", lambda q: q.integrate_unit_cube(
             bumpy, 1, sing=q.SingularityHints.regular(1), tol=1e-14, max_cells=8)),
+        ("capped n=2 scan", lambda q: q.integrate_unit_cube(
+            lambda t: np.sin(40.0 * t[:, 0] * t[:, 1]), 2,
+            sing=q.SingularityHints.regular(2), max_cells=8)),
     ]
 
 
