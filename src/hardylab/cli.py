@@ -281,11 +281,11 @@ def _cmd_norms(scenario, params, flags):
         if entry["lebesgue"].divergent and not allow_divergent:
             code = EXIT_DIVERGENT
         out.append(entry)
-    for spec in params.get("symbols", []):
-        b = _build_radial(spec)
-        qk = scenario.slot_q(0) if scenario.q else 2.0
-        out.append({"symbol": spec,
-                    "cmo": cmo_norm(b, scenario.weights[0], qk, 0.0, J=J)})
+    for k, spec in enumerate(params.get("symbols", [])):
+        slot = min(k, scenario.m - 1)
+        qk = scenario.slot_q(slot) if scenario.q else 2.0
+        out.append({"symbol": spec, "cmo": cmo_norm(_build_radial(spec),
+                                                    scenario.weights[slot], qk, 0.0, J=J)})
     return {"norms": out}, [], code
 
 

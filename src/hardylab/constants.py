@@ -33,7 +33,7 @@ import numpy as np
 from . import expr as _expr
 # kept as a module attribute: the benchmark's tracer test checks this alias
 from .expr import classify  # noqa: F401
-from .kernels import Scenario, _as_fraction
+from .kernels import Scenario
 from .operators import power_log_moment
 from .quad import integrate_positive_orthant, integrate_unit_cube
 
@@ -78,8 +78,7 @@ class SharpConstant:
 def _slot_exponents(kind: str, s: Scenario) -> tuple[float, ...]:
     d = s.d
     if kind in ("lebesgue", "lebesgue-hausdorff"):
-        return tuple(-(d + w.degree) / float(_as_fraction(pk))
-                     for w, pk in zip(s.weights, s.p))
+        return tuple(-(d + w.degree) / s.slot_p(k) for k, w in enumerate(s.weights))
     if kind in ("morrey", "morrey-hausdorff", "commutator-power", "commutator-log"):
         if len(s.lam) != s.m:
             raise ValueError(f"kind {kind!r} needs per-slot lambda exponents")
@@ -88,8 +87,8 @@ def _slot_exponents(kind: str, s: Scenario) -> tuple[float, ...]:
 
 
 def _printed_variant_exponents(s: Scenario) -> tuple[float, ...]:
-    return tuple(-(s.d + w.degree) * lk / float(_as_fraction(pk))
-                 for w, lk, pk in zip(s.weights, s.lam, s.p))
+    return tuple(-(s.d + w.degree) * lk / s.slot_p(k)
+                 for k, (w, lk) in enumerate(zip(s.weights, s.lam)))
 
 
 def _closed_form_cube(s: Scenario, gammas, with_log: bool):
@@ -101,9 +100,6 @@ def _closed_form_cube(s: Scenario, gammas, with_log: bool):
         return None
     if psi_c.coeff == 0.0:
         return 0.0
-    n = s.kernel.n
-    b = list(psi_c.t_exponents)
-    logs = list(psi_c.t_log_powers)
     coeff = psi_c.coeff
     for k, mono in enumerate(plan.slots):
         if mono is None:
@@ -112,16 +108,15 @@ def _closed_form_cube(s: Scenario, gammas, with_log: bool):
         if c_k <= 0.0:
             return None
         coeff *= c_k ** gammas[k]
-        if axis > 0:
-            b[axis - 1] += e_k * gammas[k]
         if with_log:
             # |log|s_k|| = |e_k| log(1/t) only for coefficient-one monomials
             if c_k != 1.0 or axis == 0 or e_k == 0.0:
                 return None
             coeff *= abs(e_k)
-            logs[axis - 1] += 1
+    b, logs = plan.axis_exponents(psi_c.t_exponents, psi_c.t_log_powers, gammas,
+                                  with_log)
     value = coeff
-    for i in range(n):
+    for i in range(s.kernel.n):
         value *= power_log_moment(b[i], logs[i], 0.0, 1.0)
     return value
 
@@ -162,8 +157,7 @@ def _evaluate(s: Scenario, gammas, with_log: bool, tol,
 
 
 def compute_constant(kind: str, s: Scenario, tol: float | None = None,
-                     force_quadrature: bool = False,
-                     include_printed_variant: bool = True) -> SharpConstant:
+                     force_quadrature: bool = False) -> SharpConstant:
     """Evaluate one of the sharp constants for the scenario.
 
     ``kind`` accepts the canonical names from the module docstring as well
@@ -184,7 +178,7 @@ def compute_constant(kind: str, s: Scenario, tol: float | None = None,
     )
     printed_value = None
     printed_divergent = None
-    if kind in _MORREY_KINDS and include_printed_variant:
+    if kind in _MORREY_KINDS:
         pv, pdiv, _, _ = _evaluate(s, _printed_variant_exponents(s), False,
                                    tol, force_quadrature)
         printed_value, printed_divergent = pv, pdiv

@@ -27,13 +27,12 @@ import numpy as np
 from . import expr as _expr
 from .constants import compute_constant
 from .expr import parse
-from .kernels import (KernelSpec, Scenario, _as_fraction,
-                      check_morrey_balance, cube_points)
+from .kernels import KernelSpec, Scenario, check_morrey_balance, cube_points
 from .operators import (OperatorInstance, apply, apply_radial_closed_form,
                         separable_profile)
-from .spaces import (_TAIL_RADIUS, NormResult, RadialFunction, _radial_integrals,
-                     central_morrey_norm, lp_norm, make_witness_lp, power_profile,
-                     log_profile)
+from .spaces import (_TAIL_RADIUS, NormResult, RadialFunction, _power_morrey_norm,
+                     _radial_integrals, central_morrey_norm, lp_norm, make_witness_lp,
+                     power_profile, log_profile)
 from .weights import isotropic
 
 __all__ = [
@@ -73,8 +72,7 @@ def _support_start(inst: OperatorInstance) -> float:
     return 0.5 / s_star
 
 
-def operator_radial_lp_norm(inst: OperatorInstance, outer_tol: float = 1e-9,
-                            inner_tol: float | None = None) -> NormResult:
+def operator_radial_lp_norm(inst: OperatorInstance, outer_tol: float = 1e-9) -> NormResult:
     """||T(f_1,...,f_m)||_{p, omega} for radial power (optionally cutoff)
     inputs, by 1-D quadrature of the radial profile r -> T(f)(x_r).
 
@@ -111,7 +109,7 @@ def operator_radial_lp_norm(inst: OperatorInstance, outer_tol: float = 1e-9,
         if separable is not None and np.all(rs > 0.0):
             vals = separable(rs)
         else:
-            vals = np.array([apply(inst, unit * r, tol=inner_tol).value for r in rs])
+            vals = np.array([apply(inst, unit * r).value for r in rs])
         if not np.all(np.isfinite(vals)):
             raise ArithmeticError("operator value diverges at a sample radius")
         return vals
@@ -208,9 +206,7 @@ def _aitken(values: list[float]) -> float:
 
 
 def sharpness_sweep(s: Scenario, eps_grid=DEFAULT_EPS_GRID,
-                    sharpness_tol: float = 0.02, mono_slack: float = 1e-6,
-                    bound_slack: float = 1e-6,
-                    outer_tol: float = 1e-9) -> SweepReport:
+                    sharpness_tol: float = 0.02) -> SweepReport:
     """Ratio ||T(f_eps)|| / prod ||f_k,eps|| along the extremal family.
 
     Requires a finite Lebesgue constant and a declared beta for the kernel
@@ -229,7 +225,7 @@ def sharpness_sweep(s: Scenario, eps_grid=DEFAULT_EPS_GRID,
         inst = OperatorInstance(s, tuple(w.function for w in witnesses))
         denom = float(np.prod([w.norm for w in witnesses]))
         try:
-            res = operator_radial_lp_norm(inst, outer_tol=outer_tol)
+            res = operator_radial_lp_norm(inst)
         except ArithmeticError:
             points.append(SweepPoint(eps, math.nan, math.nan, denom, "divergent"))
             continue
@@ -245,8 +241,8 @@ def sharpness_sweep(s: Scenario, eps_grid=DEFAULT_EPS_GRID,
         return SweepReport(A, tuple(points), math.nan, False, False, False, False,
                            {"reason": "no usable sweep points"})
     extrapolated = _aitken(ratios)
-    bounded = all(r <= A * (1.0 + bound_slack) for r in ratios)
-    monotone = all(ratios[i + 1] >= ratios[i] - mono_slack * max(A, 1.0)
+    bounded = all(r <= A * (1.0 + 1e-6) for r in ratios)
+    monotone = all(ratios[i + 1] >= ratios[i] - 1e-6 * max(A, 1.0)
                    for i in range(len(ratios) - 1))
     sharp = ratios[-1] >= (1.0 - sharpness_tol) * A
     passed = bounded and monotone and sharp and len(ratios) == len(points)
@@ -309,12 +305,11 @@ def _random_monomial_scenario(rng: np.random.Generator, max_d: int,
 
 
 def upper_bound_fuzz(trials: int = 100, seed: int = 1315, max_d: int = 2,
-                     max_m: int = 2, max_n: int = 2,
-                     slack: float = 1e-6) -> dict:
+                     max_m: int = 2, max_n: int = 2) -> dict:
     """Randomized check of the hard inequality ||T(f)|| <= A prod ||f_k||.
 
     Inputs are cutoff powers |x|^{gamma_k} chi_{|x|>=1} with gamma_k strictly
-    below the critical exponent.  Any ratio above 1 + slack is a violation
+    below the critical exponent.  Any ratio above 1 + 1e-6 is a violation
     and is reported with the full scenario for replay.  A trial whose
     operator norm is not 'finite' (a capped piece, say) is listed under
     'unreliable', and the check does not pass.
@@ -341,7 +336,7 @@ def upper_bound_fuzz(trials: int = 100, seed: int = 1315, max_d: int = 2,
         if ratio > max_ratio:
             max_ratio = ratio
             worst = {"trial": trial, "ratio": ratio, **meta}
-        if ratio > 1.0 + slack:
+        if ratio > 1.0 + 1e-6:
             violations.append({"trial": trial, "ratio": ratio, "seed": [seed, trial],
                                **meta})
     return {
@@ -359,17 +354,23 @@ def upper_bound_fuzz(trials: int = 100, seed: int = 1315, max_d: int = 2,
 # Morrey extremal ratio
 # ---------------------------------------------------------------------------
 
-def _slot_morrey_norm(d: int, w, pk: float, lk: float) -> float:
-    """Closed form central Morrey norm of |x|^{(d+alpha_k) lambda_k}."""
-    return ((d + w.degree) / w.sphere_integral()) ** lk * (1.0 + lk * pk) ** (-1.0 / pk)
-
-
-def _normalization_ratio(s: Scenario) -> float:
-    top = _slot_morrey_norm(s.d, s.omega, s.p_out, s.lam_out)
+def _extremal_morrey_norms(s: Scenario) -> tuple[float, list[float], float]:
+    """The closed-form central Morrey norms of |x|^{(d+alpha) lambda} in the
+    target space and of |x|^{(d+alpha_k) lambda_k} in each slot's space, and
+    the normalization: the first over the product of the others."""
+    spaces = [(s.omega, s.p_out, s.lam_out)]
+    spaces += [(w, s.slot_p(k), s.lam[k]) for k, w in enumerate(s.weights)]
+    top, *slot_norms = [_power_morrey_norm(1.0, w.sphere_integral(), s.d + w.degree,
+                                           pk, lk) for w, pk, lk in spaces]
     bottom = 1.0
-    for w, pk, lk in zip(s.weights, s.p, s.lam):
-        bottom *= _slot_morrey_norm(s.d, w, float(_as_fraction(pk)), lk)
-    return top / bottom
+    for norm in slot_norms:
+        bottom *= norm
+    return top, slot_norms, top / bottom
+
+
+def _rel_gap(got: float, want: float) -> float:
+    """|got - want| relative to |want|, which may be 0."""
+    return abs(got - want) / max(abs(want), 1e-300)
 
 
 def morrey_extremal_check(s: Scenario, tol: float = 1e-3,
@@ -398,11 +399,9 @@ def morrey_extremal_check(s: Scenario, tol: float = 1e-3,
     out_profile = power_profile(exponent, coeff=coeff.value)
     norm = central_morrey_norm(out_profile, s.omega, s.p_out, s.lam_out,
                                J=radii_J, use_grid=True)
-    slot_norms = [_slot_morrey_norm(s.d, w, s.slot_p(k), s.lam[k])
-                  for k, w in enumerate(s.weights)]
-    normalization = _normalization_ratio(s)
+    top, slot_norms, normalization = _extremal_morrey_norms(s)
     expected = B.value * float(np.prod(slot_norms)) * normalization
-    rel_gap = abs(norm.value - expected) / abs(expected)
+    rel_gap = _rel_gap(norm.value, expected)
     spread = 0.0
     if norm.brackets:
         bmax, bmin = max(norm.brackets), min(norm.brackets)
@@ -423,20 +422,19 @@ def morrey_extremal_check(s: Scenario, tol: float = 1e-3,
         "balance_sufficiency": suff,
         "balance_necessity": nec,
         "direction_consistent": direction_consistent,
-        "printed_norm_variants": _printed_norm_variants(s),
+        "printed_norm_variants": _printed_norm_variants(s, top),
         "passed": passed,
     }
 
 
-def _printed_norm_variants(s: Scenario) -> dict:
+def _printed_norm_variants(s: Scenario, adopted: float) -> dict:
     """Alternative printed forms of the extremal Morrey norm that circulate;
-    recorded next to the derived one so disagreements stay visible."""
-    d = s.d
+    recorded next to the derived one, adopted, so disagreements stay
+    visible."""
     lam = s.lam_out
     p = s.p_out
-    om = s.omega.sphere_integral()
-    adopted = _slot_morrey_norm(d, s.omega, p, lam)
-    inverse_mass = om ** (-lam) * (1.0 / ((d + s.alpha) * (1.0 + lam * p))) ** (1.0 / p)
+    inverse_mass = s.omega.sphere_integral() ** (-lam) \
+        * (1.0 / ((s.d + s.alpha) * (1.0 + lam * p))) ** (1.0 / p)
     return {"adopted": adopted, "inverse_mass_form": inverse_mass}
 
 
@@ -446,7 +444,6 @@ def _printed_norm_variants(s: Scenario) -> dict:
 
 def commutator_witness_check(s: Scenario, tol_pointwise: float = 1e-4,
                              tol_ratio: float = 1e-3,
-                             sample_points: int = 16,
                              radii_J: int = 20) -> dict:
     """The log-symbol witness computation behind the commutator necessity.
 
@@ -470,7 +467,7 @@ def commutator_witness_check(s: Scenario, tol_pointwise: float = 1e-4,
     witness_integral = coeff.value
 
     # (a) pointwise identity at sample radii
-    radii = 2.0 ** np.linspace(-3.0, 9.0, sample_points)
+    radii = 2.0 ** np.linspace(-3.0, 9.0, 16)
     unit = np.zeros(s.d)
     unit[0] = 1.0
     worst_rel = 0.0
@@ -478,7 +475,7 @@ def commutator_witness_check(s: Scenario, tol_pointwise: float = 1e-4,
     for r in radii:
         got = apply(inst, unit * r, force_quadrature=True)
         want = witness_integral * r ** exponent
-        rel = abs(got.value - want) / max(abs(want), 1e-300)
+        rel = _rel_gap(got.value, want)
         worst_rel = max(worst_rel, rel)
         pointwise.append({"radius": float(r), "value": got.value,
                           "closed_form": want, "rel": rel})
@@ -487,17 +484,15 @@ def commutator_witness_check(s: Scenario, tol_pointwise: float = 1e-4,
     # (b) Morrey-norm ratio
     lam = s.lam_out
     balanced = abs(exponent - (s.d + s.alpha) * lam) < 1e-12
-    slot_norms = [_slot_morrey_norm(s.d, w, s.slot_p(k), s.lam[k])
-                  for k, w in enumerate(s.weights)]
     ratio_report: dict = {"balanced": balanced}
     if balanced:
+        _, slot_norms, normalization = _extremal_morrey_norms(s)
         out_profile = power_profile(exponent, coeff=witness_integral)
         norm = central_morrey_norm(out_profile, s.omega, s.p_out, lam,
                                    J=radii_J, use_grid=True)
-        normalization = _normalization_ratio(s)
         expected = witness_integral * normalization
         ratio = norm.value / float(np.prod(slot_norms))
-        rel_gap = abs(ratio - expected) / max(abs(expected), 1e-300)
+        rel_gap = _rel_gap(ratio, expected)
         ratio_report.update({
             "operator_morrey_norm": norm.value,
             "norm_status": norm.status,

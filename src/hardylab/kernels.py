@@ -36,16 +36,6 @@ __all__ = ["KernelSpec", "KernelPlan", "Scenario", "ConditionReport",
            "check_morrey_balance"]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)  # exact binary expansion of a float
-
-
 def _sobol_points(n: int, count: int, seed: int = 7) -> np.ndarray:
     from scipy.stats import qmc
 
@@ -89,6 +79,20 @@ class KernelPlan:
     slots: tuple
     base: SingularityHints
 
+    def axis_exponents(self, zero, zero_logs, slot_exponents, log_slots: bool):
+        """The t_i -> 0 exponents (None stays None) and log powers of a
+        factor with faces (zero, zero_logs) times prod_k |s_k|^{gamma_k}, and
+        times one log per slot when ``log_slots``; every slot a monomial."""
+        zero, logs = list(zero), list(zero_logs)
+        for (axis, _, e_k), gamma in zip(self.slots, slot_exponents):
+            if axis == 0:
+                continue
+            if zero[axis - 1] is not None:
+                zero[axis - 1] += e_k * gamma
+            if log_slots:
+                logs[axis - 1] += 1
+        return zero, logs
+
     def hints(self, slot_exponents, log_slots: bool) -> SingularityHints:
         """Face hints for psi * prod_k |s_k|^{gamma_k}, times one log factor
         per slot when ``log_slots``; a None exponent marks an unknown slot."""
@@ -98,16 +102,9 @@ class KernelPlan:
             # an unclassified slot can push singular behaviour to either face
             n = len(base.zero)
             return replace(base, zero=(None,) * n, one=(None,) * n)
-        zero = list(base.zero)
-        zero_logs = list(base.zero_logs)
-        for (axis, _, e_k), gamma in zip(self.slots, slot_exponents):
-            if axis == 0:
-                continue
-            if zero[axis - 1] is not None:
-                zero[axis - 1] += e_k * gamma
-            if log_slots:
-                zero_logs[axis - 1] += 1
-        return replace(base, zero=tuple(zero), zero_logs=tuple(zero_logs))
+        zero, logs = self.axis_exponents(base.zero, base.zero_logs, slot_exponents,
+                                         log_slots)
+        return replace(base, zero=tuple(zero), zero_logs=tuple(logs))
 
 
 @dataclass(frozen=True)
@@ -166,9 +163,9 @@ class KernelSpec:
         slots = tuple(_single_axis_monomial(classify(sk, n)) for sk in self.s)
         return KernelPlan(psi=psi_c, slots=slots, base=base)
 
-    def validate(self, samples: int = 1024) -> None:
+    def validate(self) -> None:
         """Sample the open domain: psi >= 0, dilations finite, beta holds."""
-        pts = _sobol_points(self.n, samples)
+        pts = _sobol_points(self.n, 1024)
         if self.domain == "positive-orthant":
             dom_pts = pts / (1.0 - pts)
         else:
@@ -211,8 +208,8 @@ class Scenario:
             raise ValueError("need one weight and one exponent p_k per slot")
         if any(w.d != self.d for w in self.weights):
             raise ValueError("weight dimensions disagree with the scenario dimension")
-        for pk in self.p:
-            if not 1 <= float(_as_fraction(pk)):
+        for k in range(self.m):
+            if not 1 <= self.slot_p(k):
                 raise ValueError("p_k must satisfy 1 <= p_k < infinity")
         if self.mode == "commutator":
             if len(self.q) != self.kernel.m:
@@ -220,9 +217,8 @@ class Scenario:
         if self.mode in ("morrey", "commutator"):
             if len(self.lam) != self.kernel.m:
                 raise ValueError(f"{self.mode} mode needs one lambda_k per slot")
-            for pk, lk in zip(self.p, self.lam):
-                pkf = float(_as_fraction(pk))
-                if not (-1.0 / pkf <= lk < 0.0):
+            for k, lk in enumerate(self.lam):
+                if not (-1.0 / self.slot_p(k) <= lk < 0.0):
                     raise ValueError(
                         f"lambda_k={lk} outside the nontrivial range [-1/p_k, 0)"
                     )
@@ -234,9 +230,9 @@ class Scenario:
         return self.kernel.m
 
     def p_out_exact(self) -> Fraction:
-        inv = sum((1 / _as_fraction(pk) for pk in self.p), Fraction(0))
+        inv = sum((1 / Fraction(pk) for pk in self.p), Fraction(0))
         if self.mode == "commutator":
-            inv += sum((1 / _as_fraction(qk) for qk in self.q), Fraction(0))
+            inv += sum((1 / Fraction(qk) for qk in self.q), Fraction(0))
         return 1 / inv
 
     @property
@@ -244,20 +240,15 @@ class Scenario:
         return float(self.p_out_exact())
 
     @property
-    def alphas(self) -> tuple[float, ...]:
-        return tuple(w.degree for w in self.weights)
-
-    @property
     def alpha(self) -> float:
         p = self.p_out
-        return sum((p / float(_as_fraction(pk))) * w.degree
-                   for pk, w in zip(self.p, self.weights))
+        return sum((p / self.slot_p(k)) * w.degree for k, w in enumerate(self.weights))
 
     @property
     def omega(self) -> Weight:
         p = self.p_out
         return product_weight(
-            [(w, p / float(_as_fraction(pk))) for w, pk in zip(self.weights, self.p)]
+            [(w, p / self.slot_p(k)) for k, w in enumerate(self.weights)]
         )
 
     @property
@@ -271,10 +262,10 @@ class Scenario:
         raise ValueError("lambda is not defined in lebesgue mode")
 
     def slot_p(self, k: int) -> float:
-        return float(_as_fraction(self.p[k]))
+        return float(Fraction(self.p[k]))
 
     def slot_q(self, k: int) -> float:
-        return float(_as_fraction(self.q[k]))
+        return float(Fraction(self.q[k]))
 
 
 @dataclass(frozen=True)
@@ -290,8 +281,7 @@ class ConditionReport:
     details: dict = field(default_factory=dict)
 
 
-def check_beta_condition(kernel: KernelSpec, beta: float,
-                         grid: int = 33) -> ConditionReport:
+def check_beta_condition(kernel: KernelSpec, beta: float) -> ConditionReport:
     """Verify |s_k(t)| >= min_i t_i^beta on a deterministic sample of the cube.
 
     The condition is an almost-everywhere statement, so this is a sampled
@@ -301,7 +291,7 @@ def check_beta_condition(kernel: KernelSpec, beta: float,
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    pts = cube_points(kernel.n, grid, seed=7)
+    pts = cube_points(kernel.n, grid=33, seed=7)
     floor = np.min(pts ** beta, axis=1)
     worst = math.inf
     witness = None
@@ -320,7 +310,7 @@ def check_beta_condition(kernel: KernelSpec, beta: float,
     )
 
 
-def check_walpha_condition(s: Scenario, tol: float = 1e-12) -> ConditionReport:
+def check_walpha_condition(s: Scenario) -> ConditionReport:
     """Product-weight sphere mass against the product of slot sphere masses:
 
         omega(S_d) >= prod_k omega_k(S_d)^{p/p_k},
@@ -330,18 +320,17 @@ def check_walpha_condition(s: Scenario, tol: float = 1e-12) -> ConditionReport:
     lhs = s.omega.sphere_integral()
     p = s.p_out
     rhs = 1.0
-    for w, pk in zip(s.weights, s.p):
-        rhs *= w.sphere_integral() ** (p / float(_as_fraction(pk)))
+    for k, w in enumerate(s.weights):
+        rhs *= w.sphere_integral() ** (p / s.slot_p(k))
     slack = lhs - rhs
     scale = max(abs(lhs), abs(rhs), 1.0)
     return ConditionReport(
-        name="homogeneous-weight-vector", passed=slack >= -tol * scale,
+        name="homogeneous-weight-vector", passed=slack >= -1e-12 * scale,
         lhs=lhs, rhs=rhs, slack=slack,
     )
 
 
-def check_morrey_balance(s: Scenario, direction: str,
-                         tol: float = 1e-12) -> ConditionReport:
+def check_morrey_balance(s: Scenario, direction: str) -> ConditionReport:
     """The two sphere-mass balance conditions of the central Morrey bounds.
 
     direction 'sufficiency':
@@ -366,25 +355,25 @@ def check_morrey_balance(s: Scenario, direction: str,
     if direction == "sufficiency":
         lhs = (om / (d + alpha)) ** ((1.0 + lam * p) / p)
         rhs = 1.0
-        for w, pk, lk in zip(s.weights, s.p, s.lam):
-            pkf = float(_as_fraction(pk))
+        for k, (w, lk) in enumerate(zip(s.weights, s.lam)):
+            pkf = s.slot_p(k)
             rhs *= (w.sphere_integral() / (d + w.degree)) ** ((1.0 + lk * pkf) / pkf)
         slack = lhs - rhs
-        passed = slack >= -tol * max(abs(lhs), abs(rhs), 1.0)
+        passed = slack >= -1e-12 * max(abs(lhs), abs(rhs), 1.0)
         return ConditionReport(name="morrey-balance-sufficiency", passed=passed,
                                lhs=lhs, rhs=rhs, slack=slack)
     if direction == "necessity":
         lhs = (om / (d + alpha)) ** lam * (1.0 + lam * p) ** (1.0 / p)
         rhs = 1.0
         rhs_printed = 1.0
-        for w, pk, lk in zip(s.weights, s.p, s.lam):
-            pkf = float(_as_fraction(pk))
+        for k, (w, lk) in enumerate(zip(s.weights, s.lam)):
+            pkf = s.slot_p(k)
             rhs *= (w.sphere_integral() / (d + w.degree)) ** lk \
                 * (1.0 + lk * pkf) ** (1.0 / pkf)
             rhs_printed *= (om / (d + w.degree)) ** lk \
                 * (1.0 + lk * pkf) ** (1.0 / pkf)
         slack = rhs - lhs
-        passed = slack >= -tol * max(abs(lhs), abs(rhs), 1.0)
+        passed = slack >= -1e-12 * max(abs(lhs), abs(rhs), 1.0)
         return ConditionReport(
             name="morrey-balance-necessity", passed=passed, lhs=lhs, rhs=rhs,
             slack=slack, details={"rhs_product_mass_variant": rhs_printed},

@@ -168,13 +168,10 @@ def separable_profile(inst: OperatorInstance) -> Callable | None:
     if vanishes:
         return zero
 
-    b = list(psi_c.t_exponents)
-    windowed = set()
-    for axis, _, e_k, _, gamma, cuts in slots:
-        if axis > 0:
-            b[axis - 1] += e_k * gamma
-            if cuts and e_k != 0.0:
-                windowed.add(axis - 1)
+    b, _ = plan.axis_exponents(psi_c.t_exponents, psi_c.t_log_powers,
+                               [gamma for _, _, _, _, gamma, _ in slots], False)
+    windowed = {axis - 1 for axis, _, e_k, _, _, cuts in slots
+                if axis > 0 and cuts and e_k != 0.0}
 
     # expand prod_k (delta_k + e_k log(1/t_{axis_k})), delta_k = -log c_k,
     # into terms (coefficient, log power per axis)
@@ -331,8 +328,7 @@ def apply(inst: OperatorInstance, x, tol: float | None = None,
                                breakpoints=breaks, max_cells=max_cells)
 
 
-def apply_radial_closed_form(inst: OperatorInstance,
-                             tol: float | None = None) -> tuple[QuadResult, float]:
+def apply_radial_closed_form(inst: OperatorInstance) -> tuple[QuadResult, float]:
     """Coefficient and exponent of T(f)(x) = C |x|^E for pure power inputs.
 
     Requires every input to be a pure radial power (no cutoffs; value 0 at
@@ -357,5 +353,4 @@ def apply_radial_closed_form(inst: OperatorInstance,
                 raise ValueError("closed-form commutator route needs log symbols")
     unit = np.zeros(inst.scenario.d)
     unit[0] = 1.0
-    coeff = apply(inst, unit, tol=tol)
-    return coeff, exponent
+    return apply(inst, unit), exponent

@@ -279,24 +279,24 @@ def _face_exponent(anchor_values) -> float:
     return float(statistics.median(slopes))
 
 
-def _probe_face_exponent(f, n: int, axis: int, face: int) -> float:
-    """Estimate a in f ~ t_axis^a near the given face, one call of f per
-    anchor, and no call after an anchor that settles the estimate."""
-    def anchor_values():
-        for pts in _probe_points(n, axis, face):
-            try:
-                with np.errstate(all="ignore"):
-                    vals = np.asarray(f(pts), dtype=float)
-            except Exception:
-                vals = None
-            yield vals
-
-    return _face_exponent(anchor_values())
+def _anchor_values(f, k, block):
+    """Member k's probe values of one face, a call of f per anchor, as a
+    generator: no call follows an anchor that settles the estimate.  None
+    stands for an anchor whose evaluation raised."""
+    for pts in block:
+        try:
+            with np.errstate(all="ignore"):
+                vals = np.asarray(f(pts, np.full(len(pts), k)), dtype=float)
+        except Exception:
+            vals = None
+        yield vals
 
 
 def _probe_family(f, n: int, faces):
-    """Probe the (member, axis, face) faces of a family f(t, k) with one call
-    of f; returns {face: exponent estimate}, or None if the call raised."""
+    """Probe the (member, axis, face) faces of a family f(t, k); returns
+    {face: exponent estimate}.  One call of f evaluates every face; if it
+    raises, each face is probed an anchor per call (see _anchor_values), so
+    that an anchor that raises costs only its own face."""
     blocks = [_probe_points(n, axis, face) for _, axis, face in faces]
     if not blocks:
         return {}
@@ -307,7 +307,8 @@ def _probe_family(f, n: int, faces):
         with np.errstate(all="ignore"):
             vals = np.asarray(f(pts, owner), dtype=float)
     except Exception:
-        return None
+        return {key: _face_exponent(_anchor_values(f, key[0], block))
+                for key, block in zip(faces, blocks)}
     out = {}
     start = 0
     for key, block in zip(faces, blocks):
@@ -867,11 +868,7 @@ def _integrate_family(f, n: int, members: list, tol: float, member, seed: int = 
         if declared:
             decided[k] = _divergent_result()
             break
-        if estimates is None:  # the combined probe raised: probe alone
-            estimate = functools.partial(_probe_face_exponent, member(k), n)
-        else:
-            estimate = lambda axis, face, k=k: estimates[k, axis, face]
-        h, suspicious = _resolve_hints(h, estimate)
+        h, suspicious = _resolve_hints(h, lambda axis, face, k=k: estimates[k, axis, face])
         maps[k], seeds = _build_transform(n, h, members[k][1])
         try:
             if suspicious and _divergence_scan(member(k), n):
@@ -935,23 +932,18 @@ def integrate_positive_orthant(
     f,
     n: int,
     sing_zero: SingularityHints | None = None,
-    decay: tuple | None = None,
     tol: float | None = None,
     max_cells: int | None = None,
-    seed: int = 0,
 ) -> QuadResult:
     """Integrate ``f`` over (0,inf)^n via t_i = u_i/(1-u_i).
 
-    ``decay``: per-axis power-decay exponents c_i (f ~ t^{-c_i} at infinity),
-    if known; they become u -> 1 face hints c_i - 2 after the jacobian.  None
-    entries are probed.  Divergence at infinity surfaces as a u -> 1 face
-    divergence.
+    ``sing_zero`` gives the t_i -> 0 faces; the u -> 1 faces, where the
+    decay at infinity lands after the jacobian, are probed.  Divergence at
+    infinity surfaces as a u -> 1 face divergence.
     """
-    zero = list((sing_zero.normalized(n).zero) if sing_zero is not None else (None,) * n)
-    zero_logs = list((sing_zero.normalized(n).zero_logs) if sing_zero is not None else (0,) * n)
-    one = [None if decay is None or decay[i] is None else decay[i] - 2.0 for i in range(n)]
-    hints = SingularityHints(zero=tuple(zero), one=tuple(one),
-                             zero_logs=tuple(zero_logs), one_logs=(0,) * n)
+    zero = SingularityHints.unknown(n) if sing_zero is None else sing_zero.normalized(n)
+    hints = SingularityHints(zero=zero.zero, one=(None,) * n, zero_logs=zero.zero_logs,
+                             one_logs=(0,) * n)
 
     def g(u):
         u = np.asarray(u, dtype=float)
@@ -959,7 +951,7 @@ def integrate_positive_orthant(
         jac = np.prod((1.0 - u) ** -2.0, axis=1)
         return np.asarray(f(t), dtype=float) * jac
 
-    return integrate_unit_cube(g, n, sing=hints, tol=tol, max_cells=max_cells, seed=seed)
+    return integrate_unit_cube(g, n, sing=hints, tol=tol, max_cells=max_cells)
 
 
 def _unit_interval(a: float, b: float, sing_a: tuple | None = None,
@@ -989,17 +981,15 @@ def integrate_interval(
     """1-D convenience wrapper: integral of f over (a, b), finite endpoints.
 
     sing_a/sing_b are (exponent, log_count) pairs describing the integrand
-    near the respective endpoint, in the local distance variable.
+    near the respective endpoint, in the local distance variable.  It is a
+    family of one for integrate_intervals.
     """
-    width, hints, inner, max_cells = _unit_interval(a, b, sing_a, sing_b,
-                                                    breakpoints, max_cells)
-
-    def g(u):
-        x = a + width * u[:, 0]
-        return np.asarray(f(x), dtype=float) * width
-
-    return integrate_unit_cube(g, 1, sing=hints, tol=tol, breakpoints=inner,
-                               max_cells=max_cells)
+    out = integrate_intervals(lambda x, k: f(x), [dict(
+        a=a, b=b, sing_a=sing_a, sing_b=sing_b, breakpoints=breakpoints,
+        max_cells=max_cells)], tol=tol)
+    if isinstance(out[0], Exception):
+        raise out.pop()  # no local keeps it, so its traceback closes no cycle
+    return out[0]
 
 
 def integrate_intervals(f, members: list, tol: float = 1e-10) -> list:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expr as _expr
 from .expr import Expr, classify
-from .kernels import Scenario, _as_fraction
+from .kernels import Scenario
 from .quad import integrate_intervals
 from .weights import DivergentWeightError, Weight, sphere_surface_area
 
@@ -317,6 +317,37 @@ def _power_moment(coeff: float, p: float, E: float, lo: float, hi: float) -> flo
     return abs(coeff) ** p * (hi ** E - lo ** E) / E
 
 
+def _power_morrey_norm(coeff: float, sphere: float, dpa: float, p: float,
+                       lam: float) -> float:
+    """The central Morrey norm of coeff |x|^{(d+alpha) lambda} for a weight
+    with w(S_d) = sphere and d + alpha = dpa: its bracket
+    |coeff| ((d+alpha)/w(S_d))^lambda (1+lambda p)^{-1/p} at every radius."""
+    return abs(coeff) * (dpa / sphere) ** lam * (1.0 + lam * p) ** (-1.0 / p)
+
+
+def _radius_grid(sphere: float, dpa: float, J: int) -> tuple[list, list]:
+    """The dyadic radii R = 2^j, |j| <= J, and the weighted mass
+    w(B(0,R)) = w(S_d) R^{d+alpha}/(d+alpha) of each ball."""
+    radii = [2.0 ** j for j in range(-J, J + 1)]
+    return radii, [sphere * R ** dpa / dpa for R in radii]
+
+
+def _brackets(masses, moments, p: float, lam: float, capped: bool):
+    """Per ball of the grid, from its mass and its moment (value, error,
+    status) of |g|^p: the bracket (mass^{-(1+lambda p)} moment)^{1/p} and its
+    error bar; then whether a moment, or an integral before them (capped),
+    hit the cell cap.  None if a moment diverged."""
+    brackets, errors = [], []
+    for mass, (moment, err, status) in zip(masses, moments):
+        if status == "divergent":
+            return None
+        capped |= status == "unreliable"
+        br = mass ** (-(1.0 + lam * p)) * moment
+        brackets.append(br ** (1.0 / p))
+        errors.append((err / max(moment, 1e-300)) / p * brackets[-1])
+    return brackets, errors, capped
+
+
 def _sup_over_grid(radii, brackets, errors, capped: bool = False) -> NormResult:
     """The supremum of the brackets; 'unreliable' if it sits strictly at a
     grid boundary or if a bracket's quadrature hit its cell cap."""
@@ -367,11 +398,10 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
     have alone.  A moment that hits the quadrature's cell cap makes the
     norm 'unreliable'.
     """
-    d, alpha = w.d, w.degree
     if not w.locally_integrable():
         raise DivergentWeightError("central Morrey norms need alpha > -d")
     sphere = w.sphere_integral()
-    dpa = d + alpha
+    dpa = w.d + w.degree
     pw = f.power_form()
     if pw is not None and f.inner_cutoff is None and f.outer_cutoff is None \
             and not (force_quadrature or use_grid):
@@ -379,11 +409,10 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
         if coeff == 0.0:
             return NormResult(0.0, "closed-form")
         if abs(gamma - dpa * lam) < 1e-14:
-            value = abs(coeff) * (dpa / sphere) ** lam * (1.0 + lam * p) ** (-1.0 / p)
-            return NormResult(value, "closed-form")
+            return NormResult(_power_morrey_norm(coeff, sphere, dpa, p, lam), "closed-form")
         return _divergent("closed-form")
 
-    radii = [2.0 ** j for j in range(-J, J + 1)]
+    radii, masses = _radius_grid(sphere, dpa, J)
     lo, hi = f.support()
     if pw is None or force_quadrature:
         def integrand(r, _k):
@@ -397,23 +426,15 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
         moments = [(sphere * v, sphere * e, status) for v, e, status in results]
     else:
         coeff, gamma = pw
-        E = p * gamma + d + alpha
+        E = p * gamma + w.d + w.degree
         moments = []
         for R in radii:
             moment = sphere * _power_moment(coeff, p, E, min(lo, R), min(hi, R))
             moments.append((moment, 0.0, "finite" if moment < math.inf else "divergent"))
-    brackets = []
-    errors = []
-    capped = False
-    for R, (moment, err, status) in zip(radii, moments):
-        mass = sphere * R ** dpa / dpa
-        if status == "divergent":
-            return _divergent("radial-quadrature")
-        capped |= status == "unreliable"
-        br = mass ** (-(1.0 + lam * p)) * moment
-        brackets.append(br ** (1.0 / p))
-        errors.append((err / max(moment, 1e-300)) / p * brackets[-1])
-    return _sup_over_grid(radii, brackets, errors, capped)
+    brackets = _brackets(masses, moments, p, lam, False)
+    if brackets is None:
+        return _divergent("radial-quadrature")
+    return _sup_over_grid(radii, *brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +461,17 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
     """
     if q <= 1:
         raise ValueError("q must be > 1")
-    d, alpha = w.d, w.degree
     if not w.locally_integrable():
         raise DivergentWeightError("central BMO norms need alpha > -d")
     sphere = w.sphere_integral()
-    dpa = d + alpha
+    dpa = w.d + w.degree
 
     pwb = b.power_form()
     if pwb is not None and pwb[1] == 0.0 and b.inner_cutoff is None \
             and b.outer_cutoff is None:
         return NormResult(0.0, "closed-form")  # constants oscillate by zero
 
-    radii = [2.0 ** j for j in range(-J, J + 1)]
-    masses = [sphere * R ** dpa / dpa for R in radii]
+    radii, masses = _radius_grid(sphere, dpa, J)
     capped = False
     mean_raised = []  # the exception of the first mean that raised, if any
     if b.is_log and b.inner_cutoff is None and b.outer_cutoff is None:
@@ -479,25 +498,19 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
     for R, m in zip(radii, means):
         kink = math.exp(m) if b.is_log else None
         members.append((0.0, R, [kink] if kink and 0 < kink < R else []))
-    brackets = []
-    errors = []
     # the oscillation of each radius comes before the mean of the next
     results, raised = _radial_integrals(osc, members, tol=tol)
     if raised:
         raise raised.pop()
-    for mass, (val, err, status) in zip(masses, results):
-        if status == "divergent":
-            return _divergent("radial-quadrature")
-        capped |= status == "unreliable"
-        moment = sphere * val
-        br = mass ** (-(1.0 + lam * q)) * moment
-        brackets.append(br ** (1.0 / q))
-        errors.append((sphere * err / max(moment, 1e-300)) / q * brackets[-1])
+    brackets = _brackets(masses, [(sphere * v, sphere * e, status) for v, e, status in results],
+                         q, lam, capped)
+    if brackets is None:
+        return _divergent("radial-quadrature")
     if mean_raised:
         raise mean_raised.pop()
     if len(means) < len(radii):  # a mean diverged
         return _divergent("radial-quadrature")
-    return _sup_over_grid(radii, brackets, errors, capped)
+    return _sup_over_grid(radii, *brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +528,7 @@ def _cap_fraction(d: int, cos_theta: np.ndarray) -> np.ndarray:
 
 
 def _offcenter_ball_integral(h, w: Weight, center_radius: float, radius: float,
-                             log_kink: float | None = None,
-                             tol: float = 1e-9) -> tuple[float, str]:
+                             log_kink: float | None = None) -> tuple[float, str]:
     """integral over B(x0, radius) of h(|z|) w(z) dz for an isotropic power
     weight, |x0| = center_radius, via spherical-cap slicing, and its status:
     'finite', or 'unreliable' if a piece hit the quadrature's cell cap."""
@@ -546,7 +558,7 @@ def _offcenter_ball_integral(h, w: Weight, center_radius: float, radius: float,
     zero_exp = alpha + d - 1.0 if lo == 0.0 else None
     results, raised = _radial_integrals(
         lambda r, _k: integrand(r), [(lo, hi, sorted(set(breaks)))],
-        zero_exp=zero_exp, zero_logs=1, tol=tol)
+        zero_exp=zero_exp, zero_logs=1, tol=1e-9)
     if raised:
         raise raised.pop()
     (value, err, status), = results
@@ -555,8 +567,7 @@ def _offcenter_ball_integral(h, w: Weight, center_radius: float, radius: float,
     return surface * value, status
 
 
-def log_bmo_check(w: Weight, centers, radius: float = 1.0,
-                  tol: float = 1e-9) -> dict:
+def log_bmo_check(w: Weight, centers) -> dict:
     """Mean-oscillation bounds for log|x| over balls B(x_0, 1).
 
     For |x_0| >= 2 the constant c = log|x_0| gives oscillation <= log 2; for
@@ -575,19 +586,18 @@ def log_bmo_check(w: Weight, centers, radius: float = 1.0,
         statuses = []
 
         def ball(h, rad, kink=None):
-            value, status = _offcenter_ball_integral(h, w, R0, rad, log_kink=kink,
-                                                     tol=tol)
+            value, status = _offcenter_ball_integral(h, w, R0, rad, log_kink=kink)
             statuses.append(status)
             return value
 
-        mass1 = ball(np.ones_like, radius)
-        if R0 >= 2.0 * radius:
+        mass1 = ball(np.ones_like, 1.0)
+        if R0 >= 2.0:
             c_used = math.log(R0)
             bound = math.log(2.0)
             branch = "far"
         else:
             c_used = 0.0
-            bound = math.log(3.0) * ball(np.ones_like, 6.0 * radius) / mass1
+            bound = math.log(3.0) * ball(np.ones_like, 6.0) / mass1
             branch = "near"
 
         def osc(rho, c=c_used):
@@ -595,7 +605,7 @@ def log_bmo_check(w: Weight, centers, radius: float = 1.0,
                 lg = np.where(rho > 0, np.log(np.maximum(rho, 1e-300)), 0.0)
             return np.abs(lg - c)
 
-        oscillation = ball(osc, radius, math.exp(c_used)) / mass1
+        oscillation = ball(osc, 1.0, math.exp(c_used)) / mass1
         status = "unreliable" if "unreliable" in statuses else "finite"
         margin = bound - oscillation
         if branch == "far":
@@ -646,8 +656,8 @@ def make_witness_lp(s: Scenario, eps: float) -> list[Witness]:
         raise ValueError("eps must be positive")
     p = s.p_out
     out = []
-    for w, pk_raw in zip(s.weights, s.p):
-        pk = float(_as_fraction(pk_raw))
+    for k, w in enumerate(s.weights):
+        pk = s.slot_p(k)
         eps_k = p * eps / pk
         gamma = -(s.d + w.degree) / pk - eps_k
         f = power_profile(gamma, inner_cutoff=1.0)

@@ -12,6 +12,7 @@ import hardylab
 from hardylab.cli import (EXIT_DIVERGENT, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
                           bundled_scenario_dir, load_scenario, main, run,
                           run_suite, write_report)
+from hardylab.spaces import cmo_norm, log_profile
 
 SCENARIOS = bundled_scenario_dir()
 
@@ -136,6 +137,32 @@ def test_norms_command(tmp_path):
     # the pure Morrey extremal: no Lebesgue norm, finite central Morrey norm
     assert entries[1]["lebesgue"]["status"] == "divergent"
     assert entries[1]["central_morrey"]["value"] > 0
+
+
+def test_norms_command_gives_each_symbol_its_slot(tmp_path):
+    # symbol k is measured in the CMO space of slot min(k, m - 1), as the
+    # inputs are: two slots with different weights and q, three symbols
+    doc = {
+        "geometry": {"d": 1},
+        "kernel": {"m": 2, "n": 2, "psi": "1", "s": ["t1", "t2"], "beta": 1.0},
+        "weights": [{"degree": 0.0}, {"degree": 0.5}],
+        "exponents": {"p": [3, 4], "q": [6, 8], "lambda": [-0.25, -0.2]},
+        "task": {"command": "norms", "params": {
+            "allow_divergent": True,
+            "inputs": [{"profile": "r^(-0.25)"}],
+            "symbols": [{"profile": "log(r)"}] * 3,
+        }},
+    }
+    path = tmp_path / "norms.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run("norms", path, out, {"no_timestamp": True}) == EXIT_PASS
+    scenario, _, _ = load_scenario(path)
+    got = [e["cmo"]["value"] for e in read(out)["results"]["norms"] if "symbol" in e]
+    want = [cmo_norm(log_profile(), scenario.weights[slot], scenario.slot_q(slot)).value
+            for slot in (0, 1, 1)]
+    assert got == want
+    assert want[0] != want[1]
 
 
 def test_check_conditions_command(tmp_path):

@@ -160,6 +160,19 @@ def test_morrey_extremal_single_slot_any_weight():
     assert rep["normalization"] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_morrey_extremal_zero_density_kernel():
+    # psi = 0: the constant, the operator output and the expected norm are
+    # all 0, and their relative gap is 0, not a division by zero
+    k = KernelSpec(m=1, n=1, psi=parse("0", 1), s=(parse("t1", 1),))
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,),
+                 lam=(-0.25,), mode="morrey")
+    rep = morrey_extremal_check(s)
+    assert rep["constant"] == 0.0 and rep["expected"] == 0.0
+    assert rep["operator_norm"] == 0.0 and rep["norm_status"] == "finite"
+    assert rep["rel_gap"] == 0.0
+    assert rep["passed"]
+
+
 def test_morrey_extremal_unequal_lambda_direction():
     s = diagonal_scenario(p=(4, 4), lam=(-0.2, -0.05))
     rep = morrey_extremal_check(s)

@@ -7,7 +7,7 @@ import pytest
 from hardylab import quad
 from hardylab.constants import compute_constant
 from hardylab.expr import DomainError
-from hardylab.quad import (_PROBE_H, SingularityHints, _probe_face_exponent,
+from hardylab.quad import (_PROBE_ANCHORS, _PROBE_H, SingularityHints, _probe_family,
                            integrate_interval, integrate_intervals,
                            integrate_positive_orthant, integrate_unit_cube,
                            neumaier_sum)
@@ -176,7 +176,7 @@ def test_probe_evaluates_a_1d_face_once(face):
         u = pts[:, 0] if face == 0 else 1.0 - pts[:, 0]
         return u ** -0.4 * (1.0 + u)
 
-    slope = _probe_face_exponent(f, 1, 0, face)
+    slope = _probe_family(lambda t, k: f(t), 1, [(0, 0, face)])[0, 0, face]
     assert seen == [(len(_PROBE_H), 1)]
     # the old probe took the median of three equal slopes, one per anchor
     h = np.array(_PROBE_H)
@@ -192,8 +192,29 @@ def test_probe_uses_every_anchor_in_2d():
         seen.append(pts.shape)
         return pts[:, 0] ** -0.4 * (1.0 + pts[:, 1])
 
-    assert _probe_face_exponent(f, 2, 0, 0) == pytest.approx(-0.4, abs=1e-3)
-    assert seen == [(len(_PROBE_H), 2)] * 3
+    slope = _probe_family(lambda t, k: f(t), 2, [(0, 0, 0)])[0, 0, 0]
+    assert slope == pytest.approx(-0.4, abs=1e-3)
+    assert seen == [(3 * len(_PROBE_H), 2)]  # the three anchors in one call
+
+
+def test_probe_falls_back_to_one_call_per_anchor():
+    # the combined call raises, and so does one anchor of one face: that
+    # face reads -2.0, and every other face reads as if nothing had raised
+    def smooth(t, k):
+        return t[:, 0] ** (-0.4 + 0.1 * k) * (1.0 + t[:, 1]) ** 2
+
+    def raising(t, k):
+        if np.any((k == 1) & (t[:, 0] < 2.0 ** -7) & (t[:, 1] == _PROBE_ANCHORS[1])):
+            raise ValueError("bad anchor")
+        return smooth(t, k)
+
+    faces = [(k, axis, face) for k in (0, 1) for axis in (0, 1) for face in (0, 1)]
+    want = _probe_family(smooth, 2, faces)
+    got = _probe_family(raising, 2, faces)
+    bad = (1, 0, 0)
+    assert got[bad] == -2.0 and want[bad] != -2.0
+    assert {key: got[key] for key in faces if key != bad} == \
+        {key: want[key] for key in faces if key != bad}
 
 
 def test_a_single_integral_probes_all_its_faces_in_one_call():

@@ -41,6 +41,13 @@ def cases(np):
         x = t[:, 0]
         return np.exp(3.0 * x) * np.sin(7.0 * x) + 1.0 / (1.05 - x)
 
+    def refused_anchor(t):
+        # raises on one probe anchor of the t1 -> 0 face, so the combined
+        # probe call raises and the faces are probed an anchor per call
+        if np.any((t[:, 0] < 2.0 ** -7) & (t[:, 1] == 0.57891234)):
+            raise ValueError("refused anchor")
+        return (t[:, 0] * t[:, 1]) ** -0.25 * (1.0 + t[:, 0])
+
     return [
         ("smooth n=1", lambda q: q.integrate_unit_cube(
             lambda t: np.exp(t[:, 0]), 1, sing=q.SingularityHints.regular(1), tol=1e-10)),
@@ -48,6 +55,7 @@ def cases(np):
             lambda t: t[:, 0] ** -0.5 * np.exp(t[:, 0]), 1)),
         ("probed n=2", lambda q: q.integrate_unit_cube(
             lambda t: (t[:, 0] * t[:, 1]) ** -0.25 * (1.0 + t[:, 0]), 2)),
+        ("probe fallback n=2", lambda q: q.integrate_unit_cube(refused_anchor, 2)),
         ("graded n=2", lambda q: q.integrate_unit_cube(
             lambda t: t[:, 0] ** -0.6 * t[:, 1] ** -0.3 * (1.0 + t[:, 0] * t[:, 1]), 2,
             sing=q.SingularityHints(zero=(-0.6, -0.3), one=(0.0, 0.0)))),
