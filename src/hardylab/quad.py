@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,80 +243,77 @@ _PROBE_ANCHORS = (0.41234567, 0.57891234, 0.73456789)
 _PROBE_H = tuple(2.0 ** (-k) for k in range(8, 19, 2))
 
 
-def _probe_points(n: int, axis: int, face: int) -> list[np.ndarray]:
-    """The probe points of one face, an array per anchor of the other
-    coordinates (in 1-D there are none, so one anchor's points are all
-    there is to probe)."""
-    out = []
-    for anchor in _PROBE_ANCHORS if n > 1 else _PROBE_ANCHORS[:1]:
-        pts = np.full((len(_PROBE_H), n), anchor)
-        h = np.array(_PROBE_H)
-        pts[:, axis] = h if face == 0 else 1.0 - h
-        out.append(pts)
-    return out
-
-
-def _face_exponent(anchor_values) -> float:
-    """Estimate a in f ~ t_axis^a near a face by log-log slope, the median
-    over the anchors, from each anchor's probe values in turn (None where
-    evaluating them raised)."""
+def _probe_points(n: int, faces) -> np.ndarray:
+    """The probe points of the (member, axis, face) faces, one
+    (faces, anchors, len(_PROBE_H), n) array: an anchor's points step toward
+    the face along its axis and hold every other coordinate at the anchor
+    (in 1-D there are none, so one anchor's points are all there is to
+    probe)."""
+    anchors = np.array(_PROBE_ANCHORS if n > 1 else _PROBE_ANCHORS[:1])
     h = np.array(_PROBE_H)
-    slopes = []
-    for vals in anchor_values:
-        if vals is None:
-            return -2.0  # treat evaluation failure at the face as suspicious
-        vals = np.abs(vals)
-        if not np.all(np.isfinite(vals)):
-            return -2.0
-        mask = vals > 1e-290
-        if mask.sum() < 3:
-            continue  # integrand (numerically) zero near this face
-        slope, _ = np.polyfit(np.log(h[mask]), np.log(vals[mask]), 1)
-        slopes.append(slope)
-    if not slopes:
-        return 0.0
-    return float(statistics.median(slopes))
+    _, axes, sides = np.array(faces).T
+    steps = np.where(sides[:, None] == 0, h, 1.0 - h)
+    on_axis = axes[:, None] == np.arange(n)
+    return np.where(on_axis[:, None, None, :], steps[:, None, :, None], anchors[:, None, None])
+
+
+def _face_exponent(vals: np.ndarray) -> np.ndarray:
+    """Estimate a in f ~ t_axis^a near each face from its probe values, a
+    (faces, anchors, len(_PROBE_H)) array.  Per anchor, the least-squares
+    slope of log|f| against log h over the values above 1e-290 (an anchor
+    with fewer than 3 is skipped); per face, the median over its anchors,
+    or 0.0 if none is left.  A face with a non-finite value (NaN also
+    stands for an anchor whose evaluation raised) reads -2.0."""
+    v = np.abs(vals)
+    w = v > 1e-290
+    used = w.sum(axis=-1)
+    with np.errstate(all="ignore"):
+        x = np.log(np.array(_PROBE_H))
+        y = np.log(np.where(w, v, 1.0))
+        dx = w * (x - (w * x).sum(axis=-1, keepdims=True) / used[..., None])
+        dy = y - (w * y).sum(axis=-1, keepdims=True) / used[..., None]
+        slopes = np.where(used >= 3, (dx * dy).sum(axis=-1) / (dx * dx).sum(axis=-1), np.nan)
+    slopes.sort(axis=-1)  # skipped anchors (NaN) last
+    count = (used >= 3).sum(axis=-1)
+    rows = np.arange(len(slopes))
+    median = (slopes[rows, (count - 1) // 2] + slopes[rows, count // 2]) / 2
+    return np.where(np.isfinite(v).all(axis=(1, 2)), np.where(count > 0, median, 0.0), -2.0)
 
 
 def _anchor_values(f, k, block):
-    """Member k's probe values of one face, a call of f per anchor, as a
-    generator: no call follows an anchor that settles the estimate.  None
-    stands for an anchor whose evaluation raised."""
-    for pts in block:
+    """Member k's probe values of one face, a call of f per anchor, in
+    anchor order.  The first anchor that raises, or gives a non-finite
+    value, settles the face at -2.0, so no call follows it; the rows it and
+    the anchors after it leave unevaluated read NaN."""
+    vals = np.full(block.shape[:2], np.nan)
+    for a, pts in enumerate(block):
         try:
             with np.errstate(all="ignore"):
-                vals = np.asarray(f(pts, np.full(len(pts), k)), dtype=float)
+                vals[a] = np.asarray(f(pts, np.full(len(pts), k)), dtype=float)
         except Exception:
-            vals = None
-        yield vals
+            break
+        if not np.all(np.isfinite(vals[a])):
+            break
+    return vals
 
 
 def _probe_family(f, n: int, faces):
     """Probe the (member, axis, face) faces of a family f(t, k); returns
-    {face: exponent estimate}.  One call of f evaluates every face; if it
-    raises, each face is probed an anchor per call (see _anchor_values), so
-    that an anchor that raises costs only its own face."""
-    blocks = [_probe_points(n, axis, face) for _, axis, face in faces]
-    if not blocks:
+    {face: exponent estimate}.  One call of f evaluates every face's probe
+    points, and one fit (_face_exponent) reads every face's estimate from
+    them.  If the call raises, each face is evaluated again an anchor per
+    call (see _anchor_values), so that an anchor that raises costs only its
+    own face, and the same fit reads the rows."""
+    if not faces:
         return {}
-    pts = np.concatenate([p for block in blocks for p in block])
-    owner = np.concatenate([np.full(len(p), k) for (k, _, _), block in zip(faces, blocks)
-                            for p in block])
+    pts = _probe_points(n, faces)
+    owner = np.repeat([k for k, _, _ in faces], pts[0].size // n)
     try:
         with np.errstate(all="ignore"):
-            vals = np.asarray(f(pts, owner), dtype=float)
+            vals = np.asarray(f(pts.reshape(-1, n), owner), dtype=float).reshape(pts.shape[:3])
     except Exception:
-        return {key: _face_exponent(_anchor_values(f, key[0], block))
-                for key, block in zip(faces, blocks)}
-    out = {}
-    start = 0
-    for key, block in zip(faces, blocks):
-        per_anchor = []
-        for p in block:
-            per_anchor.append(vals[start:start + len(p)])
-            start += len(p)
-        out[key] = _face_exponent(per_anchor)
-    return out
+        vals = np.stack([_anchor_values(f, k, block) for (k, _, _), block in zip(faces, pts)])
+    return dict(zip(faces, _face_exponent(vals).tolist()))
 
 
 def _resolve_hints(hints: SingularityHints, estimate):

@@ -54,7 +54,6 @@ class Weight:
       'power-x1'   : omega(x) = c |x_1/|x||^e |x|^degree          (params: c, e)
       'angular'    : omega(x) = phi(theta) |x|^degree, d <= 2,
                      phi an even Expr in the angle (variable t1)  (params: phi)
-      'combination': positive combination of same-degree weights (params: parts)
       'product'    : prod_k w_k(x)^{q_k}, degree = sum q_k alpha_k (params: parts)
     """
 
@@ -69,7 +68,7 @@ class Weight:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        if self.kind not in ("isotropic", "power-x1", "angular", "combination", "product"):
+        if self.kind not in ("isotropic", "power-x1", "angular", "product"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "angular":
             if self.d > 2:
@@ -82,12 +81,6 @@ class Weight:
             scale = np.maximum(np.abs(plus), 1e-300)
             if np.max(np.abs(plus - minus) / scale) > 1e-10:
                 raise ValueError("angular profile must be even in the angle")
-        if self.kind == "combination":
-            for w, coef in self.parts:
-                if coef <= 0:
-                    raise ValueError("combinations must have positive coefficients")
-                if w.degree != self.degree or w.d != self.d:
-                    raise ValueError("combination parts must share degree and dimension")
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -103,8 +96,6 @@ class Weight:
                 return _expr.evaluate(self.phi, t=np.zeros((u.shape[0], 1)))
             theta = np.arctan2(u[:, 1], u[:, 0])
             return _expr.evaluate(self.phi, t=theta[:, None])
-        if self.kind == "combination":
-            return sum(coef * w.angular(u) for w, coef in self.parts)
         if self.kind == "product":
             out = np.ones(u.shape[0])
             for w, q in self.parts:
@@ -143,8 +134,6 @@ class Weight:
             if d == 1:
                 return 2.0 * float(self.angular(np.array([[1.0]]))[0])
             return self._circle_integral(lambda u: self.angular(u))
-        if self.kind == "combination":
-            return sum(coef * w.sphere_integral() for w, coef in self.parts)
         if self.kind == "product":
             if all(w.kind == "isotropic" for w, _ in self.parts):
                 c = 1.0
@@ -229,10 +218,3 @@ def product_weight(factors: list[tuple[Weight, float]]) -> Weight:
         raise ValueError("factors live in different dimensions")
     return Weight(d=d, degree=degree, kind="product", parts=tuple(factors))
 
-
-def combination(parts: list[tuple[Weight, float]]) -> Weight:
-    """theta*w1 + lambda*w2 + ...; stays in the same homogeneous class."""
-    if not parts:
-        raise ValueError("need at least one part")
-    w0 = parts[0][0]
-    return Weight(d=w0.d, degree=w0.degree, kind="combination", parts=tuple(parts))

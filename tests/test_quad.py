@@ -230,6 +230,87 @@ def test_a_single_integral_probes_all_its_faces_in_one_call():
     assert all(r % 15 ** 2 == 0 for r in rows[1:])  # then only panels
 
 
+def _polyfit_exponent(face):
+    # the oracle: np.polyfit per anchor over the values above 1e-290, and
+    # the median over the anchors that have at least 3 of them
+    h = np.array(_PROBE_H)
+    slopes = []
+    for v in np.abs(face):
+        mask = v > 1e-290
+        if mask.sum() >= 3:
+            slopes.append(np.polyfit(np.log(h[mask]), np.log(v[mask]), 1)[0])
+    return float(np.median(slopes)) if slopes else 0.0
+
+
+def test_face_fit_matches_polyfit():
+    rng = np.random.default_rng(11)
+    h = np.array(_PROBE_H)
+    # random rows: a power of h with a random factor and noise, either sign
+    a = rng.uniform(-0.95, 2.0, size=(40, 3, 1))
+    faces = list(rng.uniform(0.1, 10.0, size=(40, 3, 1)) * h ** a
+                 * np.exp(rng.normal(scale=0.3, size=(40, 3, len(h))))
+                 * rng.choice([-1.0, 1.0], size=(40, 3, len(h))))
+    faces.append(np.tile(h ** -0.7 * np.log(1.0 / h), (3, 1)))  # t^a log(1/t)
+    # rows with 0, 1 and 2 values above 1e-290 are skipped: the face is the
+    # median of its other anchors, or 0.0 if none is left
+    few = [np.where(np.arange(len(h)) < m, h ** 0.5, 1e-300) for m in range(6)]
+    faces += [np.stack([few[m], few[4], few[5]]) for m in range(3)]
+    faces += [np.stack([few[m], few[3], few[5]]) for m in range(3)]
+    faces += [np.stack([few[0], few[1], few[2]]), np.zeros((3, len(h)))]
+    got = quad._face_exponent(np.array(faces))
+    want = [_polyfit_exponent(face) for face in faces]
+    assert got[-2:].tolist() == [0.0, 0.0]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_face_fit_reads_a_non_finite_anchor_as_suspicious():
+    h = np.array(_PROBE_H)
+    faces = np.tile(h ** -0.3, (4, 3, 1))
+    faces[1, 1, 2] = np.nan
+    faces[2, 2, 0] = np.inf
+    faces[3, 0] = 0.0  # a skipped anchor settles nothing
+    faces[3, 1, -1] = -np.inf
+    assert quad._face_exponent(faces)[1:].tolist() == [-2.0, -2.0, -2.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_probe_fallback_reads_the_same_dict_as_one_call(n):
+    # member 0 is a power of each coordinate, member 1 is zero near every
+    # face but t1 -> 1, and member 2 is non-finite at one anchor of its
+    # t1 -> 0 face (the second anchor, or the only one in 1-D)
+    a = np.array([-0.6, 0.4, 1.3][:n])
+    bad_anchor = 0 if n == 1 else 1
+
+    def smooth(t, k):
+        v = np.prod(t ** a, axis=1) * (1.0 + np.sin(3.0 * t[:, 0]))
+        v = np.where(k == 1, np.where(t[:, 0] > 0.99, 1.0 - t[:, 0], 0.0), v)
+        bad = (k == 2) & (t[:, 0] < 2.0 ** -7) & \
+            ((n == 1) | (t[:, -1] == _PROBE_ANCHORS[bad_anchor]))
+        return np.where(bad, np.nan, v)
+
+    calls = []
+
+    def one_anchor_a_call(t, k):
+        calls.append((k[0], len(t)))
+        if len(t) > len(_PROBE_H):
+            raise ValueError("more than one anchor")
+        return smooth(t, k)
+
+    faces = [(k, axis, face) for k in range(3) for axis in range(n) for face in (0, 1)]
+    want = _probe_family(smooth, n, faces)
+    got = _probe_family(one_anchor_a_call, n, faces)
+    assert got == want
+    assert want[2, 0, 0] == -2.0
+    assert want[1, 0, 0] == 0.0 and want[1, 0, 1] == pytest.approx(1.0, abs=1e-3)
+    assert want[0, 0, 0] == pytest.approx(-0.6, abs=1e-2)
+    # one combined call, then an anchor a call; the non-finite anchor ends
+    # its face's calls
+    anchors = 3 if n > 1 else 1
+    assert calls == [(0, len(faces) * anchors * len(_PROBE_H))] + [
+        (key[0], len(_PROBE_H)) for key in faces
+        for _ in range(bad_anchor + 1 if key == (2, 0, 0) else anchors)]
+
+
 # ---------------------------------------------------------------------------
 # batched evaluation: the same results as one split per integrand call
 # ---------------------------------------------------------------------------

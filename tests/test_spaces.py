@@ -110,6 +110,39 @@ def test_morrey_unbalanced_power_diverges():
     assert res.divergent
 
 
+def test_morrey_bracket_growing_at_the_grid_end_is_divergent():
+    # r^0 1{r >= 1}, d = 1, p = 2, lambda = -1/4: bracket(R) grows like R^{1/4}
+    res = central_morrey_norm(power_profile(0.0, inner_cutoff=1.0), isotropic(1, 0.0),
+                              2.0, -0.25)
+    assert res.status == "divergent" and res.value == math.inf
+    assert res.brackets[-3] < res.brackets[-2] < res.brackets[-1]
+
+
+def test_morrey_sup_at_the_last_radius_is_unreliable():
+    # the cutoff leaves one nonzero bracket, at R = 2^20
+    res = central_morrey_norm(power_profile(0.0, inner_cutoff=1.5 * 2.0 ** 19),
+                              isotropic(1, 0.0), 2.0, -0.25)
+    assert res.status == "unreliable"
+    assert res.brackets[-1] > 0.0 and not any(res.brackets[:-1])
+    assert res.value == res.brackets[-1]
+
+
+def test_morrey_divergent_moment_is_divergent():
+    # |r^-0.6|^2 = r^-1.2 is not integrable at 0 in d = 1; the cutoff keeps
+    # the closed form out, so the grid's first moment diverges
+    res = central_morrey_norm(power_profile(-0.6, outer_cutoff=1.0), isotropic(1, 0.0),
+                              2.0, -0.25)
+    assert (res.status, res.method, res.value) == ("divergent", "radial-quadrature", math.inf)
+
+
+@pytest.mark.parametrize("gamma", [-0.6, -1.5])
+def test_cmo_divergent_integral_is_divergent(gamma):
+    # r^-0.6 has finite means but a divergent oscillation |r^-0.6 - m|^2;
+    # r^-1.5 already has a divergent mean
+    res = cmo_norm(power_profile(gamma), isotropic(1, 0.0), 2.0)
+    assert (res.status, res.method, res.value) == ("divergent", "radial-quadrature", math.inf)
+
+
 def test_morrey_indicator_supremum():
     # bracket(R) = (2 min(R,1))^{1/2} since 1 + lambda*p = 0; sup = sqrt(2)
     f = power_profile(0.0, outer_cutoff=1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardylab.quad import SingularityHints, integrate_unit_cube
-from hardylab.weights import (DivergentWeightError, Weight, combination,
+from hardylab.weights import (DivergentWeightError, Weight,
                               isotropic, product_weight, sphere_surface_area)
 
 
@@ -72,18 +72,6 @@ def test_ball_scaling_identity(rng):
             lhs = w.ball_integral(s * 1.7)
             rhs = s ** (w.d + w.degree) * w.ball_integral(1.7)
             assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_positive_combinations_stay_homogeneous(rng):
-    w1 = isotropic(2, 0.3, c=1.0)
-    w2 = Weight(d=2, degree=0.3, kind="power-x1", c=1.0, e=0.3)
-    w = combination([(w1, 0.7), (w2, 2.0)])
-    x = rng.normal(size=(64, 2))
-    t = rng.uniform(0.2, 2.0, size=64)
-    assert np.allclose(w(x * t[:, None]), t ** 0.3 * w(x), rtol=1e-12)
-    assert w.sphere_integral() == pytest.approx(
-        0.7 * w1.sphere_integral() + 2.0 * w2.sphere_integral(), rel=1e-12
-    )
 
 
 def test_product_weight_mass_is_not_product_of_masses():

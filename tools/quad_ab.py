@@ -16,6 +16,7 @@ which whole benchmark runs on a shared host do not.
 
 import argparse
 import importlib.util
+import math
 import os
 import statistics
 import sys
@@ -48,6 +49,32 @@ def cases(np):
             raise ValueError("refused anchor")
         return (t[:, 0] * t[:, 1]) ** -0.25 * (1.0 + t[:, 0])
 
+    # the oscillation grid of a log|x| CMO norm (d + alpha = 2.3, q = 2):
+    # per radius R = 2^j, |j| <= 20, the integral of |log r - m_j|^2 r^1.3
+    # over (0, min(R, 1)), and for R > 1 over (0, j) in r = 2^x, with the
+    # kink r = e^{m_j} as a breakpoint: 61 members, and no face hint, so
+    # all 122 faces are probed (cmo_norm declares the r = 1 face of its
+    # (0, min(R, 1)) pieces and probes the other 81)
+    members, means, in_log2 = [], [], []
+    for j in range(-20, 21):
+        m = j * math.log(2.0) - 1.0 / 2.3
+        kink = math.exp(m)
+        members.append(dict(a=0.0, b=min(2.0 ** j, 1.0),
+                            breakpoints=[kink] if kink < min(2.0 ** j, 1.0) else []))
+        means.append(m)
+        in_log2.append(False)
+        if j > 0:
+            members.append(dict(a=0.0, b=float(j),
+                                breakpoints=[math.log2(kink)] if kink > 1.0 else []))
+            means.append(m)
+            in_log2.append(True)
+    means, in_log2 = np.array(means), np.array(in_log2)
+
+    def oscillation(x, k):
+        r = np.where(in_log2[k], 2.0 ** x, x)
+        v = np.abs(np.log(r) - means[k]) ** 2.0 * r ** 1.3
+        return np.where(in_log2[k], v * r * math.log(2.0), v)
+
     return [
         ("smooth n=1", lambda q: q.integrate_unit_cube(
             lambda t: np.exp(t[:, 0]), 1, sing=q.SingularityHints.regular(1), tol=1e-10)),
@@ -71,6 +98,7 @@ def cases(np):
         # capped at 8 cells, then a divergence scan
         ("capped 8 cells", lambda q: q.integrate_unit_cube(
             bumpy, 1, sing=q.SingularityHints.regular(1), tol=1e-14, max_cells=8)),
+        ("log-CMO grid", lambda q: q.integrate_intervals(oscillation, members)),
         ("capped n=2 scan", lambda q: q.integrate_unit_cube(
             lambda t: np.sin(40.0 * t[:, 0] * t[:, 1]), 2,
             sing=q.SingularityHints.regular(2), max_cells=8)),
