@@ -273,22 +273,34 @@ def evaluate(e: Expr, t: np.ndarray | None = None, r: np.ndarray | float | None 
 
     ``t`` has shape (N, n); ``r`` is scalar or shape (N,).  Returns shape (N,).
     Raises DomainError instead of silently producing NaN.
+
+    A ``t`` that carries per-axis coordinates (a ``quad.TensorPoints``) is
+    evaluated per axis when there is no ``r``, and the result broadcasts to
+    ``t.grid`` rather than having shape (N,); see ``quad.TensorPoints``.
     """
-    if t is not None:
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 1:
-            t = t[None, :]
-        npts = t.shape[0]
-    elif r is not None:
-        npts = np.size(r)
+    axes = getattr(t, "axes", None)
+    if axes is not None and r is None:
+        one, npts = np.ones((1,) * (len(axes) + 1)), None
     else:
-        npts = 1
-    if r is not None:
-        r = np.broadcast_to(np.ravel(np.asarray(r, dtype=float)), (npts,))
+        axes, one = (), _ONE
+        if t is not None:
+            t = np.asarray(t, dtype=float)
+            if t.ndim == 1:
+                t = t[None, :]
+            npts = t.shape[0]
+            axes = t.T  # axes[i] is column i
+        elif r is not None:
+            npts = np.size(r)
+        else:
+            npts = 1
+        if r is not None:
+            r = np.broadcast_to(np.ravel(np.asarray(r, dtype=float)), (npts,))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _eval(e, t, r, npts)
+        out = _eval(e, axes, r, one)
     if np.isnan(out).any():
         raise DomainError(f"expression {to_string(e)} left the real domain")
+    if npts is not None and out.shape != (npts,):  # a constant expression
+        out = out.repeat(npts)
     return out
 
 
@@ -298,55 +310,67 @@ def eval_scalar(e: Expr, t: tuple[float, ...] = (), r: float | None = None) -> f
     return float(out[0])
 
 
-def _eval(e: Expr, t, r, npts: int) -> np.ndarray:
+_ONE = np.ones(1)
+
+
+def _eval(e: Expr, axes, r, one: np.ndarray) -> np.ndarray:
+    """Evaluate ``e`` by numpy broadcasting.  ``axes[i]`` holds t_{i+1}'s
+    values: the column of the (N, n) points, or a tensor grid's axis i
+    shaped to broadcast along its own grid axis, so that each node is taken
+    on only the axes it depends on.  ``one`` is 1.0 shaped like the grid's
+    rank; a constant is a multiple of it, so that no node becomes a numpy
+    scalar, whose powers can round differently from an array's.  Operands
+    combine out of place, in the tree's order, so that each point gets the
+    same value on either kind of axes."""
     if e.kind == "const":
-        return np.full(npts, e.value)
+        return one * e.value
     if e.kind == "var":
-        if t is None or e.index > t.shape[1]:
+        if e.index > len(axes):
             raise DomainError(f"binding missing for t{e.index}")
-        return t[:, e.index - 1]
+        return axes[e.index - 1]
     if e.kind == "r":
         if r is None:
             raise DomainError("binding missing for r")
-        return np.asarray(r, dtype=float)
+        return r
+    acc = _eval(e.children[0], axes, r, one)
+    rest = e.children[1:]
     if e.kind == "sum":
-        acc = _eval(e.children[0], t, r, npts).copy()
-        for c in e.children[1:]:
-            acc += _eval(c, t, r, npts)
+        for c in rest:
+            acc = acc + _eval(c, axes, r, one)
         return acc
     if e.kind == "prod":
-        acc = _eval(e.children[0], t, r, npts).copy()
-        for c in e.children[1:]:
-            acc *= _eval(c, t, r, npts)
+        for c in rest:
+            acc = acc * _eval(c, axes, r, one)
         return acc
+    # the domain checks use the .any() method: np.any(x) costs about twice
+    # as much on the small arrays of per-axis evaluation
     if e.kind == "pow":
-        base = _eval(e.children[0], t, r, npts)
         k = e.value
         if k == round(k):
-            if k < 0 and np.any(base == 0.0):
+            if k < 0 and (acc == 0.0).any():
                 raise DomainError("zero base with negative exponent")
-            return base ** int(round(k))
-        if np.any(base < 0.0):
+            return acc ** int(round(k))
+        if (acc < 0.0).any():
             raise DomainError("fractional power of a negative base")
-        if k < 0 and np.any(base == 0.0):
+        if k < 0 and (acc == 0.0).any():
             raise DomainError("zero base with negative exponent")
-        return base ** k
+        return acc ** k
     if e.kind == "abs":
-        return np.abs(_eval(e.children[0], t, r, npts))
+        return np.abs(acc)
     if e.kind == "log":
-        arg = _eval(e.children[0], t, r, npts)
-        if np.any(arg <= 0.0):
+        if (acc <= 0.0).any():
             raise DomainError("log of a non-positive value")
-        return np.log(arg)
+        return np.log(acc)
     if e.kind == "exp":
-        return np.exp(_eval(e.children[0], t, r, npts))
+        return np.exp(acc)
     if e.kind == "min":
-        vals = [_eval(c, t, r, npts) for c in e.children]
-        return np.minimum.reduce(vals)
+        for c in rest:
+            acc = np.minimum(acc, _eval(c, axes, r, one))
+        return acc
     if e.kind == "norm":
-        acc = _eval(e.children[0], t, r, npts) ** 2
-        for c in e.children[1:]:
-            acc = acc + _eval(c, t, r, npts) ** 2
+        acc = acc ** 2
+        for c in rest:
+            acc = acc + _eval(c, axes, r, one) ** 2
         return np.sqrt(acc)
     raise AssertionError(f"unknown node kind {e.kind}")
 

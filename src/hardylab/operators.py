@@ -252,7 +252,10 @@ def separable_profile(inst: OperatorInstance) -> Callable | None:
 def _slot_eval(f, pts: np.ndarray) -> np.ndarray:
     if isinstance(f, RadialFunction):
         return f(pts)
-    return np.asarray(f(pts), dtype=float)
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != pts.shape[:1]:  # one value for all points, as a constant gives
+        vals = np.broadcast_to(vals, pts.shape[:1])
+    return vals
 
 
 def _cutoff_breakpoints(inst: OperatorInstance, xr: float) -> list:
@@ -304,13 +307,16 @@ def apply(inst: OperatorInstance, x, tol: float | None = None,
         sym_at_x = [float(_slot_eval(b, x[None, :])[0]) for b in inst.symbols]
 
     def integrand(tpts: np.ndarray) -> np.ndarray:
+        # on tensor panels the values come per axis (see quad.TensorPoints): a
+        # slot is evaluated at the points s_k(t) x of its own values only
         vals = _expr.evaluate(kernel.psi, t=tpts)
         for k in range(kernel.m):
             s_vals = _expr.evaluate(kernel.s[k], t=tpts)
-            pts = s_vals[:, None] * x[None, :]
-            vals = vals * _slot_eval(inst.inputs[k], pts)
+            pts = s_vals.reshape(-1)[:, None] * x
+            vals = vals * _slot_eval(inst.inputs[k], pts).reshape(s_vals.shape)
             if inst.mode == "commutator":
-                vals = vals * (sym_at_x[k] - _slot_eval(inst.symbols[k], pts))
+                b_vals = _slot_eval(inst.symbols[k], pts).reshape(s_vals.shape)
+                vals = vals * (sym_at_x[k] - b_vals)
         return vals
 
     if kernel.domain == "positive-orthant":

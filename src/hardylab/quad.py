@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "QuadResult",
     "SingularityHints",
+    "TensorPoints",
     "integrate_unit_cube",
     "integrate_positive_orthant",
     "integrate_interval",
@@ -203,11 +204,11 @@ class _AxisMap:
         elif k0 == 1:
             out = 1.0 - (1.0 - u) ** k1
         else:
-            left = u <= 0.5
-            out = np.empty_like(u)
-            out[left] = 0.5 * (2.0 * u[left]) ** k0
-            out[~left] = 1.0 - 0.5 * (2.0 * (1.0 - u[~left])) ** k1
-        return np.clip(out, _FACE_FLOOR, _FACE_CEIL)
+            # both branches are taken at every node; neither overflows for
+            # kappa <= _MAX_KAPPA, as 2 * u and 2 * (1 - u) stay <= 2
+            out = np.where(u <= 0.5, 0.5 * (2.0 * u) ** k0,
+                           1.0 - 0.5 * (2.0 * (1.0 - u)) ** k1)
+        return np.minimum(np.maximum(out, _FACE_FLOOR), _FACE_CEIL)
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
         k0, k1 = self.k0, self.k1
@@ -215,11 +216,8 @@ class _AxisMap:
             return k0 * u ** (k0 - 1)
         if k0 == 1:
             return k1 * (1.0 - u) ** (k1 - 1)
-        left = u <= 0.5
-        out = np.empty_like(u)
-        out[left] = k0 * (2.0 * u[left]) ** (k0 - 1)
-        out[~left] = k1 * (2.0 * (1.0 - u[~left])) ** (k1 - 1)
-        return out
+        return np.where(u <= 0.5, k0 * (2.0 * u) ** (k0 - 1),
+                        k1 * (2.0 * (1.0 - u)) ** (k1 - 1))
 
     def inverse(self, t: float) -> float:
         k0, k1 = self.k0, self.k1
@@ -344,6 +342,38 @@ def _resolve_hints(hints: SingularityHints, estimate):
 # ---------------------------------------------------------------------------
 # adaptive tensor Gauss-Kronrod core
 # ---------------------------------------------------------------------------
+
+class TensorPoints(np.ndarray):
+    """The (N, n) points of a call's tensor panels, with the grid they span.
+
+    ``integrate_unit_cube`` hands its integrand these for n = 2 and 3.
+    ``axes[i]`` holds axis i's coordinates of every box, shaped to
+    broadcast along axis i + 1 of ``grid`` = (boxes, 15, ..., 15), and the
+    rows are that grid's points in C order.  ``expr.evaluate`` reads the
+    axes and takes each subexpression on only the axes it depends on: it
+    returns the point-by-point values, bit for bit, as an array that
+    broadcasts to ``grid``, and an integrand may likewise return such an
+    array in place of the (N,) values.  An array derived from the points carries no axes and is evaluated point
+    by point: a slice reads None for them, and a ufunc's result is a plain
+    ndarray, which spares integrands written for plain arrays the
+    subclass's cost on each operation.
+    """
+
+    axes = None
+    grid = None
+
+    def __new__(cls, axes, grid: tuple):
+        points = np.empty(grid + (len(axes),))
+        for i, a in enumerate(axes):
+            points[..., i] = a
+        obj = points.reshape(-1, len(axes)).view(cls)
+        obj.axes = axes
+        obj.grid = grid
+        return obj
+
+    def __array_wrap__(self, arr, context=None, return_scalar=False):
+        return arr[()] if return_scalar else arr
+
 
 class _Panel:
     __slots__ = ("lo", "hi", "value", "error")
@@ -770,7 +800,9 @@ def integrate_unit_cube(
 
     ``f`` maps an (N, n) array of interior points to an (N,) array, and must
     be row-wise: a point's value may not depend on the other rows, because
-    one call mixes the nodes of many panels.  ``sing``
+    one call mixes the nodes of many panels.  For n = 2 and 3 the points
+    come as a TensorPoints, and ``f`` may return an array that broadcasts
+    to their ``grid`` instead (see TensorPoints).  ``sing``
     carries per-face exponent hints (None entries are probed numerically).
     ``breakpoints`` lists per-axis interior coordinates where the integrand is
     only piecewise smooth; initial panels are split there exactly.
@@ -799,7 +831,11 @@ def _family_panels(f, n: int, maps: dict):
     boxes, so that each map keeps a scalar exponent (numpy rounds some
     scalar powers, such as squares, differently from the same power with an
     array exponent).  A call whose members grade no axis has no jacobian to
-    take."""
+    take.
+
+    For n >= 2 f gets a TensorPoints and may return an array that
+    broadcasts to its grid, which is multiplied by the grid's jacobian, or
+    broadcast to the grid where no member grades."""
     groups: dict[tuple, int] = {}  # the maps' exponents -> their group
     group_of, graded = {}, set()
     for k, ms in maps.items():
@@ -816,25 +852,23 @@ def _family_panels(f, n: int, maps: dict):
         # (boxes, 15, ..., 15) grid of points, are graded in place
         axes = nodes if n == 1 else [a.reshape((-1,) + (1,) * i + (15,) + (1,) * (n - 1 - i))
                                      for i, a in enumerate(nodes)]
+        grid = (len(boxes),) + (15,) * n
         jac = None
         if not graded.isdisjoint(asks):
-            jac = np.ones((len(boxes),) + (15,) * n)
+            jac = np.ones(grid)
             start = end = 0
             for i, k in enumerate(owners):  # a group's boxes at a time
                 end += len(asks[k])
                 if i + 1 == len(owners) or group_of[owners[i + 1]] != group_of[k]:
                     _graded(maps[k], [a[start:end] for a in axes], jac[start:end])
                     start = end
-        if n == 1:
-            t = nodes.reshape(-1, 1)  # the nodes already are the points
-        else:
-            t = np.empty((len(boxes),) + (15,) * n + (n,))
-            for i, a in enumerate(axes):
-                t[..., i] = a
-            t = t.reshape(-1, n)
+        # in 1-D the nodes already are the points, and each is its own axis
+        t = nodes.reshape(-1, 1) if n == 1 else TensorPoints(axes, grid)
         rows = [len(asks[k]) * 15 ** n for k in owners]
         vals = np.asarray(f(t, np.array(owners).repeat(rows)), dtype=float)
-        if jac is not None:
+        if vals.shape != (len(t),):  # evaluated per axis: it broadcasts to the grid
+            vals = vals * jac if jac is not None else np.broadcast_to(vals, grid)
+        elif jac is not None:
             vals = vals * jac.reshape(-1)
         sums = _panel_sums(n, vals.reshape(len(boxes), -1), vols)
         out = {}

@@ -140,3 +140,71 @@ def test_classify_radial_power():
     assert c.tag == "monomial"
     assert c.coeff == 2.0
     assert c.r_exponent == -0.5
+
+
+# ---------------------------------------------------------------------------
+# per-axis evaluation on tensor grids
+# ---------------------------------------------------------------------------
+
+def _tensor_points(n, boxes=3, seed=0):
+    """A TensorPoints over random axis coordinates in (0, 1), shaped as
+    quad._family_panels shapes them."""
+    from hardylab.quad import TensorPoints
+
+    rng = np.random.default_rng(seed)
+    axes = [rng.random((boxes,) + (1,) * i + (15,) + (1,) * (n - 1 - i)) for i in range(n)]
+    return TensorPoints(axes, (boxes,) + (15,) * n)
+
+
+_PER_AXIS_EXPRS = [
+    "2.5", "3 * t1", "t2", "t1 + t2 - 0.3", "1 - t1", "t1 * t2 * 1.7",
+    "t1^3", "(t1 - 0.5)^2", "t2^(-2)", "t1^0.37", "t2^(-0.6)", "(t1 + t2)^(-1.5)",
+    "abs(t1 - t2)", "log(t1 * t2)", "log(1 / t1)^2", "exp(-t1 * t2)",
+    "min(t1, t2, 0.4)", "norm1m(1 - t1, 1 - t2)^(-0.5)",
+    "(0.7^1.3)^0.45 * t1", "exp(1) * t1",  # a numpy scalar would round the first differently
+    "t1^(-0.3) * (0.7 * t2^1.2)^(-0.45) + abs(log(t2))",
+]
+
+
+@pytest.mark.parametrize("n, text", [(n, text) for n in (2, 3) for text in _PER_AXIS_EXPRS]
+                         + [(3, "t3^0.5 * t1"), (3, "min(t3, t1) + t2^(-1)")])
+def test_per_axis_evaluation_is_the_flat_one_bit_for_bit(n, text):
+    t = _tensor_points(n)
+    e = parse(text, n)
+    got = evaluate(e, t=t)
+    want = evaluate(e, t=np.asarray(t))
+    assert got.ndim == n + 1  # compact: it broadcasts to the grid
+    wide = np.broadcast_to(got, t.grid).reshape(-1)
+    assert np.array_equal(wide.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("text", [
+    "log(t1 - 0.5)",             # log of a non-positive value
+    "(t1 - t1)^(-1)",            # zero base, integer exponent
+    "(t2 - t2)^(-0.5) + t1",     # zero base, fractional exponent
+    "(t1 - 0.5)^0.5",            # fractional power of a negative base
+    "t1^0.5 * log(t2 - 2)",      # the first failing node decides
+    "exp(1000 * t1) * (t2 - t2)",  # inf * 0: the final NaN check
+    "r * t1",                    # no binding for r
+])
+def test_per_axis_evaluation_raises_the_flat_domain_error(n, text):
+    t = _tensor_points(n)
+    e = parse(text, n)
+    with pytest.raises(DomainError) as flat:
+        evaluate(e, t=np.asarray(t))
+    with pytest.raises(DomainError) as per_axis:
+        evaluate(e, t=t)
+    assert type(per_axis.value) is type(flat.value)
+    assert str(per_axis.value) == str(flat.value)
+
+
+def test_points_derived_from_tensor_points_are_evaluated_point_by_point():
+    t = _tensor_points(2)
+    e = parse("t1 * t2^0.5", 2)
+    shifted = 0.25 + 0.5 * t  # as the divergence scan shifts its points
+    assert evaluate(e, t=shifted).shape == (len(t),)
+    assert np.array_equal(evaluate(e, t=shifted), evaluate(e, t=np.asarray(shifted)))
+    # with r bound the flat path runs, too
+    er = parse("t1 * r", 2)
+    assert evaluate(er, t=t, r=2.0).shape == (len(t),)

@@ -187,6 +187,18 @@ def test_linearity_survives_cutoff_inputs(rng):
     assert lhs == pytest.approx(a * v1 + b * v2, rel=1e-4)
 
 
+def test_callable_inputs_may_return_one_value_for_all_points():
+    # a constant input written as a bare float acts as one value per point,
+    # on the 1-D route and on the per-axis tensor panels of n = 2
+    g = power_profile(-0.3)
+    for s in (hardy_scenario(), diagonal_scenario(p=(4, 4))):
+        rest = (g,) * (s.kernel.m - 1)
+        scalar = OperatorInstance(s, (lambda pts: 2.0,) + rest)
+        array = OperatorInstance(s, (lambda pts: np.full(len(pts), 2.0),) + rest)
+        want = apply(array, [1.5], force_quadrature=True)
+        assert repr(apply(scalar, [1.5], force_quadrature=True)) == repr(want)
+
+
 def test_homogeneity_transport_for_power_inputs():
     s = diagonal_scenario(p=(4, 4))
     inst = OperatorInstance(s, (power_profile(-0.3), power_profile(-0.15)))

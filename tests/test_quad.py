@@ -182,7 +182,8 @@ def test_probe_evaluates_a_1d_face_once(face):
     h = np.array(_PROBE_H)
     pts = (h if face == 0 else 1.0 - h)[:, None]
     one_anchor = np.polyfit(np.log(h), np.log(np.abs(f(pts))), 1)[0]
-    assert slope == float(np.median([one_anchor] * 3))
+    want = float(np.median([one_anchor] * 3))
+    assert abs(slope - want) <= 1e-12 * abs(want)  # the tolerance of the fit's own test
 
 
 def test_probe_uses_every_anchor_in_2d():
@@ -448,6 +449,130 @@ def test_family_panels_grade_per_axis_as_the_full_point_array(monkeypatch, n):
             assert np.array_equal(t[owner == k], ref_t)
             assert repr(vals[owner[::15 ** n] == k].tolist()) == repr(ref_vals.tolist())
             assert repr(got[k]) == repr(real(n, ref_vals, ref_vols))
+
+
+class _MaskedAxisMap(quad._AxisMap):
+    """quad._AxisMap's forward and derivative in their earlier form, with
+    boolean-mask gathers and scatters and np.clip: the reference the
+    np.where form must match bit for bit."""
+
+    def forward(self, u):
+        k0, k1 = self.k0, self.k1
+        if k1 == 1:
+            out = u ** k0
+        elif k0 == 1:
+            out = 1.0 - (1.0 - u) ** k1
+        else:
+            left = u <= 0.5
+            out = np.empty_like(u)
+            out[left] = 0.5 * (2.0 * u[left]) ** k0
+            out[~left] = 1.0 - 0.5 * (2.0 * (1.0 - u[~left])) ** k1
+        return np.clip(out, quad._FACE_FLOOR, quad._FACE_CEIL)
+
+    def derivative(self, u):
+        k0, k1 = self.k0, self.k1
+        if k1 == 1:
+            return k0 * u ** (k0 - 1)
+        if k0 == 1:
+            return k1 * (1.0 - u) ** (k1 - 1)
+        left = u <= 0.5
+        out = np.empty_like(u)
+        out[left] = k0 * (2.0 * u[left]) ** (k0 - 1)
+        out[~left] = k1 * (2.0 * (1.0 - u[~left])) ** (k1 - 1)
+        return out
+
+
+@pytest.mark.parametrize("k0, k1", [(3, 4), (2, 128), (128, 2), (5, 1), (1, 7), (2, 2)])
+def test_axis_map_matches_the_masked_form_bit_for_bit(k0, k1):
+    rng = np.random.default_rng(k0 * 1000 + k1)
+    edges = [0.0, 0.5, 1.0, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+             *(2.0 ** -np.arange(1.0, 60.0)), *(1.0 - 2.0 ** -np.arange(1.0, 54.0))]
+    u = np.concatenate([edges, rng.random(3000 - len(edges))])
+    got, ref = quad._AxisMap(k0, k1), _MaskedAxisMap(k0, k1)
+    for shaped in (u, u.reshape(-1, 15, 1), u.reshape(-1, 1, 15)):
+        for method in ("forward", "derivative"):
+            a, b = getattr(got, method)(shaped), getattr(ref, method)(shaped)
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), method
+
+
+def _family_call(f, n, maps, asks):
+    """quad._family_panels(f, n, maps)(asks), with the points and owners of
+    its one call of f."""
+    seen = []
+
+    def recording(t, k):
+        seen.append((t, k))
+        return f(t, k)
+
+    with np.errstate(all="ignore"):
+        sums = quad._family_panels(recording, n, maps)(asks)
+    (t, owner), = seen
+    return sums, t, owner
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensor_points_are_the_point_array_with_its_axes(n):
+    maps = {0: [quad._AxisMap(1, 1)] * n, 1: [quad._AxisMap(3, 4)] * n}
+    boxes = [((0.0,) * n, (0.5,) * n), ((0.25,) * n, (1.0,) * n)]
+    _, t, owner = _family_call(lambda t, k: np.ones(len(t)), n, maps,
+                               {0: boxes[:1], 1: boxes})
+    assert len(t) == t.shape[0] == len(owner) == 3 * 15 ** n  # what a tracer counts
+    for k, nboxes in ((0, 1), (1, 2)):
+        ref_t, _, _ = _graded_rows(lambda t, k: np.ones(len(t)), n, maps[k],
+                                   boxes[:nboxes], k)
+        assert np.array_equal(np.asarray(t)[owner == k], ref_t)
+    if n == 1:
+        assert type(t) is np.ndarray
+        return
+    assert isinstance(t, quad.TensorPoints)
+    assert t.grid == (3,) + (15,) * n and len(t.axes) == n
+    for i, a in enumerate(t.axes):
+        assert a.shape == (3,) + (1,) * i + (15,) + (1,) * (n - 1 - i)
+        assert np.array_equal(np.broadcast_to(a, t.grid).reshape(-1), t[:, i])
+    # derived arrays carry no axes, so they are evaluated point by point
+    for derived in (t[:, 0], t[:5], t * 1.0, np.exp(t), t.copy(), t.reshape(-1), 0.5 + t):
+        assert getattr(derived, "axes", None) is None and getattr(derived, "grid", None) is None
+    assert type(t * 1.0) is type(np.exp(t[:, 0])) is np.ndarray
+    assert type(t.sum()) is np.float64 and t.sum() == np.asarray(t).sum()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("graded", [False, True], ids=["no-jacobian", "graded"])
+def test_family_panels_take_per_axis_values_as_the_flat_ones(n, graded):
+    from hardylab.expr import evaluate, parse
+
+    e = parse(f"t1^(-0.3) * exp(-t1) * (1 + t{n})^0.5", n)  # free of t2 for n = 3
+    maps = {0: [quad._AxisMap(1, 1)] * n, 1: [quad._AxisMap(1, 1)] * n}
+    if graded:  # a one-face and a two-face group next to the ungraded one
+        maps[1] = [quad._AxisMap(7, 1)] + [quad._AxisMap(1, 1)] * (n - 1)
+        maps[2] = [quad._AxisMap(2, 5)] + [quad._AxisMap(3, 3)] * (n - 1)
+    rng = np.random.default_rng(n)
+
+    def box():
+        width = 2.0 ** -rng.integers(0, 30)
+        lo = tuple(float(rng.uniform(0.0, 1.0 - width)) for _ in range(n))
+        return lo, tuple(a + width for a in lo)
+
+    asks = {k: [box() for _ in range(2 + k)] for k in maps}
+    shapes = []
+
+    def per_axis(t, k):
+        vals = evaluate(e, t=t)
+        shapes.append(vals.shape)
+        return vals
+
+    got, _, _ = _family_call(per_axis, n, maps, asks)
+    want, _, _ = _family_call(lambda t, k: evaluate(e, t=np.asarray(t)), n, maps, asks)
+    boxes = sum(map(len, asks.values()))
+    assert shapes == [(boxes, 15) + (1,) * (n - 2) + (15,)]  # compact
+    assert repr(got) == repr(want)
+    # a compact result that is constant along an axis is broadcast, too
+    half, _, _ = _family_call(lambda t, k: evaluate(e, t=t)[..., :1], n, maps, asks)
+    flat, _, _ = _family_call(
+        lambda t, k: np.broadcast_to(evaluate(e, t=t)[..., :1], t.grid).reshape(-1),
+        n, maps, asks)
+    assert repr(half) == repr(flat)
 
 
 def _panel_sums_by_row(n, vals, vols):

@@ -3,9 +3,12 @@ integral at a time, in one process.
 
     python3 tools/quad_ab.py PARENT CHANGE [--rounds N]
 
-`hardylab/quad.py` imports only numpy and scipy, so the tool loads each
-checkout's `src/hardylab/quad.py` under a module name of its own, with one
-BLAS thread.  For each fixed integral it first checks that both give the
+The tool loads each checkout's whole `src/hardylab` package under a package
+name of its own (`hardylab_parent`, `hardylab_change`), so the two import
+only their own modules, with one BLAS thread.  The rows are integrals of
+`quad` alone, and the forced-quadrature constants and quadrature-route
+`apply` calls of the benchmark's cube workload, which also run `expr` and
+the kernel code.  For each row it first checks that both give the
 same `repr` (value, errors, status and cells to the last bit); a mismatch is
 an error.  Then it runs N rounds, alternating which side goes first, and
 times each side on a batch of calls in each round.  It prints each side's
@@ -15,6 +18,7 @@ which whole benchmark runs on a shared host do not.
 """
 
 import argparse
+import functools
 import importlib.util
 import math
 import os
@@ -27,17 +31,44 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
-def load_quad(checkout: Path, name: str):
-    path = checkout / "src" / "hardylab" / "quad.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
+def load_package(checkout: Path, name: str):
+    """checkout's hardylab package, imported as the package `name`: its
+    relative imports resolve to `name.quad`, `name.expr` and so on."""
+    src = checkout / "src" / "hardylab"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package  # dataclasses look their module up by name
+    spec.loader.exec_module(package)
+    return package
+
+
+@functools.lru_cache(maxsize=None)
+def cube_scenario(h, n: int):
+    """A scenario shaped like the cube workload's, built once per package:
+    psi a monomial and s_k = c_k t_k^{e_k}, with the t_k -> 0 face of every
+    axis at a negative exponent once the slot exponents apply, so every
+    axis is graded."""
+    psi = " * ".join(f"t{i + 1}^({a})" for i, a in enumerate((0.4, -0.02, 0.1)[:n]))
+    slots = [f"{c} * t{k + 1}^({e})" for k, (c, e) in enumerate(((0.6, 1.3), (0.8, 0.7),
+                                                              (0.5, 1.1))[:n])]
+    kernel = h.kernels.KernelSpec(m=n, n=n, psi=h.expr.parse(psi, n),
+                                  s=tuple(h.expr.parse(s, n) for s in slots))
+    return h.kernels.Scenario(d=2, kernel=kernel,
+                              weights=tuple(h.weights.isotropic(2, a)
+                                            for a in (0.3, -0.2, 0.5)[:n]),
+                              p=(3.0, 4.5, 5.0)[:n])
+
+
+@functools.lru_cache(maxsize=None)
+def power_instance(h):
+    """Two pure power inputs r^-0.4 and r^-0.3 on the n = 2 cube scenario."""
+    inputs = tuple(h.spaces.RadialFunction(h.expr.parse(f"r^({g})", 0)) for g in (-0.4, -0.3))
+    return h.operators.OperatorInstance(cube_scenario(h, 2), inputs)
 
 
 def cases(np):
-    """(name, call) pairs; call(q) runs one integral with quad module q."""
+    """(name, call) pairs; call(h) runs one row with hardylab package h."""
     def bumpy(t):
         x = t[:, 0]
         return np.exp(3.0 * x) * np.sin(7.0 * x) + 1.0 / (1.05 - x)
@@ -76,39 +107,47 @@ def cases(np):
         return np.where(in_log2[k], v * r * math.log(2.0), v)
 
     return [
-        ("smooth n=1", lambda q: q.integrate_unit_cube(
-            lambda t: np.exp(t[:, 0]), 1, sing=q.SingularityHints.regular(1), tol=1e-10)),
-        ("probed n=1", lambda q: q.integrate_unit_cube(
+        ("smooth n=1", lambda h: h.quad.integrate_unit_cube(
+            lambda t: np.exp(t[:, 0]), 1, sing=h.quad.SingularityHints.regular(1), tol=1e-10)),
+        ("probed n=1", lambda h: h.quad.integrate_unit_cube(
             lambda t: t[:, 0] ** -0.5 * np.exp(t[:, 0]), 1)),
-        ("probed n=2", lambda q: q.integrate_unit_cube(
+        ("probed n=2", lambda h: h.quad.integrate_unit_cube(
             lambda t: (t[:, 0] * t[:, 1]) ** -0.25 * (1.0 + t[:, 0]), 2)),
-        ("probe fallback n=2", lambda q: q.integrate_unit_cube(refused_anchor, 2)),
-        ("graded n=2", lambda q: q.integrate_unit_cube(
+        ("probe fallback n=2", lambda h: h.quad.integrate_unit_cube(refused_anchor, 2)),
+        ("graded n=2", lambda h: h.quad.integrate_unit_cube(
             lambda t: t[:, 0] ** -0.6 * t[:, 1] ** -0.3 * (1.0 + t[:, 0] * t[:, 1]), 2,
-            sing=q.SingularityHints(zero=(-0.6, -0.3), one=(0.0, 0.0)))),
+            sing=h.quad.SingularityHints(zero=(-0.6, -0.3), one=(0.0, 0.0)))),
         # the shape of the cube benchmark's forced n = 3 constants: a monomial
         # with declared negative face exponents, graded on every axis
-        ("graded n=3", lambda q: q.integrate_unit_cube(
+        ("graded n=3", lambda h: h.quad.integrate_unit_cube(
             lambda t: 0.7 * t[:, 0] ** -0.6 * t[:, 1] ** -0.3 * t[:, 2] ** -0.45, 3,
-            sing=q.SingularityHints(zero=(-0.6, -0.3, -0.45), one=(0.0, 0.0, 0.0)))),
+            sing=h.quad.SingularityHints(zero=(-0.6, -0.3, -0.45), one=(0.0, 0.0, 0.0)))),
         # probed at about -0.985: scanned, found convergent, then integrated
-        ("suspicious scan", lambda q: q.integrate_unit_cube(lambda t: t[:, 0] ** -0.985, 1)),
-        ("integrate_interval", lambda q: q.integrate_interval(
+        ("suspicious scan", lambda h: h.quad.integrate_unit_cube(lambda t: t[:, 0] ** -0.985, 1)),
+        ("integrate_interval", lambda h: h.quad.integrate_interval(
             lambda x: np.abs(np.log(np.abs(x))), -1.0, 3.0, breakpoints=[0.0, 1.0])),
         # capped at 8 cells, then a divergence scan
-        ("capped 8 cells", lambda q: q.integrate_unit_cube(
-            bumpy, 1, sing=q.SingularityHints.regular(1), tol=1e-14, max_cells=8)),
-        ("log-CMO grid", lambda q: q.integrate_intervals(oscillation, members)),
-        ("capped n=2 scan", lambda q: q.integrate_unit_cube(
+        ("capped 8 cells", lambda h: h.quad.integrate_unit_cube(
+            bumpy, 1, sing=h.quad.SingularityHints.regular(1), tol=1e-14, max_cells=8)),
+        ("log-CMO grid", lambda h: h.quad.integrate_intervals(oscillation, members)),
+        ("capped n=2 scan", lambda h: h.quad.integrate_unit_cube(
             lambda t: np.sin(40.0 * t[:, 0] * t[:, 1]), 2,
-            sing=q.SingularityHints.regular(2), max_cells=8)),
+            sing=h.quad.SingularityHints.regular(2), max_cells=8)),
+        # the cube workload's task kinds: forced tensor Gauss-Kronrod
+        # constants for n = 2 and 3, and a quadrature-route apply for n = 2
+        ("constant n=2", lambda h: h.constants.compute_constant(
+            "lebesgue", cube_scenario(h, 2), force_quadrature=True)),
+        ("constant n=3", lambda h: h.constants.compute_constant(
+            "lebesgue", cube_scenario(h, 3), force_quadrature=True)),
+        ("apply n=2", lambda h: h.operators.apply(
+            power_instance(h), np.array([1.5, 0.7]), force_quadrature=True)),
     ]
 
 
-def per_call_s(call, q, calls: int) -> float:
+def per_call_s(call, h, calls: int) -> float:
     start = time.perf_counter()
     for _ in range(calls):
-        call(q)
+        call(h)
     return (time.perf_counter() - start) / calls
 
 
@@ -123,11 +162,11 @@ def main(argv=None) -> int:
     os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads
     import numpy as np
 
-    sides = (load_quad(args.parent.resolve(), "quad_parent"),
-             load_quad(args.change.resolve(), "quad_change"))
+    sides = (load_package(args.parent.resolve(), "hardylab_parent"),
+             load_package(args.change.resolve(), "hardylab_change"))
     print(f"{'integral':<20} {'parent µs':>10} {'change µs':>10} {'ratio':>7}")
     for name, call in cases(np):
-        got = [repr(call(q)) for q in sides]
+        got = [repr(call(h)) for h in sides]
         if got[0] != got[1]:
             raise SystemExit(f"{name}: results differ\n  parent {got[0]}\n  change {got[1]}")
         calls = max(1, round(args.seconds / per_call_s(call, sides[0], 3)))
