@@ -46,7 +46,8 @@ from .kernels import (KernelSpec, Scenario, check_beta_condition,
                       check_morrey_balance, check_walpha_condition)
 from .operators import OperatorInstance, apply
 from .quad import SingularityHints
-from .spaces import RadialFunction, central_morrey_norm, cmo_norm, lp_norm
+from .spaces import (RadialFunction, RadiusGridError, central_morrey_norm, cmo_norm,
+                     lp_norm)
 from .weights import Weight
 
 COMMANDS = ("constant", "eval", "norms", "check-conditions", "sharpness",
@@ -263,7 +264,7 @@ def _cmd_eval(scenario, params, flags):
 
 
 def _cmd_norms(scenario, params, flags):
-    J = flags.get("radii_J") or 20
+    J = flags.get("radii_J", 20)
     allow_divergent = bool(params.get("allow_divergent", False))
     out = []
     code = EXIT_PASS
@@ -335,7 +336,7 @@ def _cmd_fuzz(scenario, params, flags):
 def _cmd_morrey_extremal(scenario, params, flags):
     rep = harness.morrey_extremal_check(
         scenario, tol=float(params.get("rel_tol", 1e-3)),
-        radii_J=flags.get("radii_J") or 20,
+        radii_J=flags.get("radii_J", 20),
     )
     checks = [{"name": "extremal-ratio-identity", "passed": rep["passed"]}]
     if rep.get("constant") == math.inf:
@@ -348,7 +349,7 @@ def _cmd_commutator_witness(scenario, params, flags):
         scenario,
         tol_pointwise=float(params.get("tol_pointwise", 1e-4)),
         tol_ratio=float(params.get("tol_ratio", 1e-3)),
-        radii_J=flags.get("radii_J") or 20,
+        radii_J=flags.get("radii_J", 20),
     )
     checks = [
         {"name": "pointwise-identity", "passed": rep["pointwise_ok"]},
@@ -383,7 +384,7 @@ def run(command: str, scenario_path, output_path=None, flags=None) -> int:
         if flags.get("seed") is None and "seed" in task:
             flags["seed"] = task["seed"]
         results, checks, code = _DISPATCH[command](scenario, params, flags)
-    except ScenarioError as exc:
+    except (ScenarioError, RadiusGridError) as exc:  # RadiusGridError: a bad --radii-J
         report = {"tool": "hardylab", "version": __version__, "command": command,
                   "error": str(exc), "exit_code": EXIT_INPUT}
         write_report(report, output_path)
@@ -486,7 +487,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--tol-override", type=float, default=None, dest="tol")
     ap.add_argument("--max-cells", type=int, default=None, dest="max_cells")
-    ap.add_argument("--radii-J", type=int, default=None, dest="radii_J")
+    ap.add_argument("--radii-J", type=int, default=20, dest="radii_J")
     ap.add_argument("--emit-csv", default=None, dest="emit_csv")
     ap.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
     args = ap.parse_args(argv)

@@ -10,11 +10,12 @@ converse statement: along the cutoff power family with slot exponents
 reproduces that climb, checks monotonicity, and extrapolates the limit from
 the last three epsilon points.
 
-The outer radial norm of the operator output runs on the lockstep radial
-engine of the norms (spaces._radial_integrals) up to r = 2^40; beyond that
-the integrand is a power times a factor W(r)^p squeezed between W(2^40)^p
-and the cutoff-free ceiling, so the tail is added analytically with the
-bracket width as its error bar.
+The outer radial norm of the operator output runs on the radial Lebesgue
+engine of the norms (spaces._radial_lp) up to its cut T, r = 2^40 unless
+the support starts later; beyond T the integrand is a power times a factor
+W(r)^p squeezed between W(T)^p and the cutoff-free ceiling, so the tail is
+added analytically with the bracket width as its error bar (or probed, if
+the ceiling diverges).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .expr import parse
 from .kernels import KernelSpec, Scenario, check_morrey_balance, cube_points
 from .operators import (OperatorInstance, apply, apply_radial_closed_form,
                         separable_profile)
-from .spaces import (_TAIL_RADIUS, NormResult, RadialFunction, _power_morrey_norm,
-                     _radial_integrals, central_morrey_norm, lp_norm, make_witness_lp,
+from .spaces import (NormResult, RadialFunction, _analytic_tail, _power_morrey_norm,
+                     _radial_lp, central_morrey_norm, lp_norm, make_witness_lp,
                      power_profile, log_profile)
 from .weights import isotropic
 
@@ -117,52 +118,28 @@ def operator_radial_lp_norm(inst: OperatorInstance, outer_tol: float = 1e-9) -> 
     def moment_integrand(rs: np.ndarray, _k) -> np.ndarray:
         return np.abs(profile(rs)) ** p * rs ** (d + alpha - 1.0)
 
-    def tail(_k):
-        """The moment beyond 2^40: the profile is W(r) r^{sum_gamma} with W
-        squeezed between W(2^40) and the cutoff-free ceiling."""
+    def tail(T):
+        """The moment beyond T: the profile is W(r) r^{sum_gamma} with W
+        squeezed between W(T) and the cutoff-free ceiling."""
         tail_exp = p * sum_gamma + d + alpha
         if tail_exp >= 0.0:
             return None
-        T = _TAIL_RADIUS
-        v_T = abs(float(profile(np.array([T]))[0]))
-        w_tail = v_T / T ** sum_gamma
         bare = replace(inst, inputs=tuple(RadialFunction(f.profile) for f in inst.inputs))
         ceiling_res, _ = apply_radial_closed_form(bare)
         if ceiling_res.divergent:
-            # the cutoff-free integral diverges, so W(r) keeps growing; probe
-            # the growth rate of the moment integrand empirically, 100% error bar
-            h_T = v_T ** p * T ** (d + alpha - 1.0)
-            h_2T = abs(float(profile(np.array([2.0 * T]))[0])) ** p \
-                * (2.0 * T) ** (d + alpha - 1.0)
-            if h_T > 0.0 and h_2T > 0.0:
-                sigma = math.log2(h_2T / h_T)
-            else:
-                sigma = tail_exp - 1.0
-            if sigma >= -1.0:
-                return None
-            value = -h_T * T / (sigma + 1.0)
-            return (value, value)
-        ceiling = abs(ceiling_res.value)
+            # the cutoff-free integral diverges, so W(r) keeps growing
+            return _analytic_tail(lambda r: moment_integrand(r, 0), None, T)
+        w_tail = abs(float(profile(np.array([T]))[0])) / T ** sum_gamma
         scale = T ** tail_exp / (-tail_exp)
         tail_lo = w_tail ** p * scale
-        tail_hi = ceiling ** p * scale
+        tail_hi = abs(ceiling_res.value) ** p * scale
         return (0.5 * (tail_lo + tail_hi), 0.5 * (tail_hi - tail_lo))
 
     r_start = _support_start(inst)
     if not math.isfinite(r_start):
         return NormResult(0.0, "radial-quadrature")
-    results, raised = _radial_integrals(moment_integrand, [(r_start, math.inf, ())],
-                                        tail=tail, tol=outer_tol)
-    if raised:
-        raise raised.pop()
-    (moment, err, status), = results
-    if status == "divergent":
-        return NormResult(math.inf, "radial-quadrature", math.inf, "divergent")
-    if moment <= 0.0:
-        return NormResult(0.0, "radial-quadrature")
-    norm = (sphere * moment) ** (1.0 / p)
-    rel = err / moment / p
-    return NormResult(norm, "radial-quadrature", error=norm * rel, status=status)
+    return _radial_lp(moment_integrand, sphere, p, r_start, math.inf, (), tail,
+                      tol=outer_tol)
 
 
 # ---------------------------------------------------------------------------

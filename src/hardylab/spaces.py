@@ -16,8 +16,8 @@ g = c r^gamma with gamma = (d+alpha) lambda the bracket is R-independent and
     bracket == |c| * ((d+alpha)/w(S_d))^lambda * (1+lambda p)^{-1/p},
 
 which is the closed form used by the extremal families.  Everything not
-closed-form is evaluated by the graded quadrature with an analytic power
-tail beyond r = 2^40.
+closed-form is evaluated by the graded quadrature up to its own radius; only
+an infinite range gets an analytic tail beyond r = 2^40 (_radial_lp).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .weights import DivergentWeightError, Weight, sphere_surface_area
 __all__ = [
     "RadialFunction",
     "NormResult",
+    "RadiusGridError",
     "Witness",
     "lp_norm",
     "central_morrey_norm",
@@ -144,27 +145,27 @@ class NormResult:
         return self.status == "divergent"
 
 
+class RadiusGridError(ValueError):
+    """A radius grid R = 2^j, |j| <= J, that cannot be sampled."""
+
+
 def _divergent(method: str) -> NormResult:
     return NormResult(math.inf, method, math.inf, "divergent")
 
 
 # ---------------------------------------------------------------------------
-# radial integrals with analytic tails
+# radial integrals, and the one analytic tail beyond 2^40
 # ---------------------------------------------------------------------------
 
 def _radial_integrals(fn, members, zero_exp: float | None = None,
-                      zero_logs: int = 0, tail=None,
-                      tol: float = 1e-10) -> tuple[list, list]:
+                      zero_logs: int = 0, tol: float = 1e-10) -> tuple[list, list]:
     """integral of fn(r, k) dr over (lo, hi) for every member k = (lo, hi,
-    breakpoints) of a radius grid, hi possibly infinite, all in lockstep.
+    breakpoints) of a radius grid, all in lockstep; every hi is finite.
 
     fn must be row-wise: k is the array of the members its radii belong to.
-    Each member is split at r = 1: (lo, 1) in r, and (1, 2^40) in the
+    Each member is split at r = 1: (lo, 1) in r, and (1, hi) in the
     substitution r = 2^u.  zero_exp: algebraic exponent of fn at r -> 0
-    (None = probe).  tail(k): (value, error) of member k's integral beyond
-    r = 2^40, or None if it diverges; called after the member's pieces, and
-    only for a member with hi > 2^40.  Without it the tail is
-    _analytic_tail of fn with its decay probed.
+    (None = probe).
 
     Returns (results, raised): each member's (value, error, status) in
     order, status 'finite', 'unreliable' (a piece hit the quadrature's cell
@@ -185,11 +186,11 @@ def _radial_integrals(fn, members, zero_exp: float | None = None,
             owner.append(k)
             in_log2.append(False)
             count[k] += 1
-        head_lo, head_hi = max(lo, 1.0), min(hi, _TAIL_RADIUS)
-        if hi > 1.0 and head_hi > head_lo:
-            pieces.append(dict(a=math.log2(head_lo), b=math.log2(head_hi),
+        head_lo = max(lo, 1.0)
+        if hi > head_lo:
+            pieces.append(dict(a=math.log2(head_lo), b=math.log2(hi),
                                breakpoints=[math.log2(b) for b in breakpoints
-                                            if head_lo < b < head_hi]))
+                                            if head_lo < b < hi]))
             owner.append(k)
             in_log2.append(True)
             count[k] += 1
@@ -204,7 +205,7 @@ def _radial_integrals(fn, members, zero_exp: float | None = None,
 
     results = iter(integrate_intervals(g, pieces, tol=tol) if pieces else ())
     out = []
-    for k, (lo, hi, _) in enumerate(members):
+    for k in range(len(members)):
         value = 0.0
         err = 0.0
         status = "finite"
@@ -218,24 +219,15 @@ def _radial_integrals(fn, members, zero_exp: float | None = None,
             err += res.abs_error_estimate
             if res.status == "max-cells-reached":
                 status = "unreliable"
-        if hi > _TAIL_RADIUS and hi > lo:
-            try:
-                beyond = tail(k) if tail else _analytic_tail(
-                    lambda r, k=k: fn(r, np.full(len(r), k)), None)
-            except Exception as exc:
-                return out, [exc]
-            if beyond is None:
-                return out + [(math.inf, math.inf, "divergent")], []
-            value += beyond[0]
-            err += beyond[1]
         out.append((value, err, status))
     return out, []
 
 
-def _analytic_tail(fn, tail_exp: float | None):
-    """(value, error) of the integral of fn beyond r = 2^40, or None if it
-    diverges."""
-    T = _TAIL_RADIUS
+def _analytic_tail(fn, tail_exp: float | None, T: float):
+    """(value, error) of the integral of fn beyond r = T, or None if it
+    diverges.  Without tail_exp the decay is probed over one octave, and
+    the error bar is the whole tail: that slope is stretched over an
+    infinite range."""
     fT = float(np.asarray(fn(np.array([T])))[0])
     if tail_exp is not None:
         if tail_exp >= -1.0:
@@ -253,7 +245,33 @@ def _analytic_tail(fn, tail_exp: float | None):
     if sigma >= -1.0 - 1e-9:
         return None
     tail = -fT * T / (sigma + 1.0)
-    return (tail, 0.5 * abs(tail))
+    return (tail, abs(tail))
+
+
+def _radial_lp(integrand, sphere: float, p: float, lo: float, hi: float,
+               breakpoints, tail, tol: float = 1e-10,
+               zero_exp: float | None = None) -> NormResult:
+    """(sphere * integral of integrand(r, k) over (lo, hi))^{1/p} by the
+    radial engine, with its error bar.  The one place that cuts an
+    infinite range: at T = max(lo, 2^40).  Up to T the range is integrated,
+    and tail(T) gives (value, error) of the rest, or None if it diverges."""
+    T = max(lo, _TAIL_RADIUS) if hi == math.inf else hi
+    results, raised = _radial_integrals(integrand, [(lo, T, breakpoints)],
+                                        zero_exp=zero_exp, tol=tol)
+    if raised:
+        raise raised.pop()
+    (moment, err, status), = results
+    if status == "divergent":
+        return _divergent("radial-quadrature")
+    if hi == math.inf:
+        beyond = tail(T)
+        if beyond is None:
+            return _divergent("radial-quadrature")
+        moment += beyond[0]
+        err += beyond[1]
+    norm = (sphere * moment) ** (1.0 / p)
+    rel = err / max(moment, 1e-300) / p
+    return NormResult(norm, "radial-quadrature", error=abs(norm) * rel, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +279,7 @@ def _analytic_tail(fn, tail_exp: float | None):
 # ---------------------------------------------------------------------------
 
 def lp_norm(f: RadialFunction, w: Weight, p: float,
-            tol: float = 1e-10, force_quadrature: bool = False) -> NormResult:
+            force_quadrature: bool = False) -> NormResult:
     """||f||_{L^p_w} for a radial-profile f; closed form for cutoff powers."""
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -284,19 +302,10 @@ def lp_norm(f: RadialFunction, w: Weight, p: float,
 
     tail_exp = p * pw[1] + d + alpha - 1.0 if pw is not None else None
     zero_exp = 0.0 if pw is None and lo > 0.0 else tail_exp
-    results, raised = _radial_integrals(
-        integrand, [(lo, hi, [b for b in (f.inner_cutoff, f.outer_cutoff) if b])],
-        zero_exp=zero_exp, tol=tol,
-        tail=lambda k: _analytic_tail(lambda r: integrand(r, k), tail_exp))
-    if raised:
-        raise raised.pop()
-    (value, err, status), = results
-    if status == "divergent":
-        return _divergent("radial-quadrature")
-    norm = (sphere * value) ** (1.0 / p)
-    rel = err / max(value, 1e-300) / p
-    return NormResult(norm, "radial-quadrature", error=abs(norm) * rel,
-                      status=status)
+    return _radial_lp(integrand, sphere, p, lo, hi,
+                      [b for b in (f.inner_cutoff, f.outer_cutoff) if b],
+                      lambda T: _analytic_tail(lambda r: integrand(r, None), tail_exp, T),
+                      zero_exp=zero_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +336,16 @@ def _power_morrey_norm(coeff: float, sphere: float, dpa: float, p: float,
 
 def _radius_grid(sphere: float, dpa: float, J: int) -> tuple[list, list]:
     """The dyadic radii R = 2^j, |j| <= J, and the weighted mass
-    w(B(0,R)) = w(S_d) R^{d+alpha}/(d+alpha) of each ball."""
-    radii = [2.0 ** j for j in range(-J, J + 1)]
-    return radii, [sphere * R ** dpa / dpa for R in radii]
+    w(B(0,R)) = w(S_d) R^{d+alpha}/(d+alpha) of each ball; a RadiusGridError
+    if J < 1 (one radius is a sample, not a supremum) or a mass is not finite."""
+    try:
+        radii = [2.0 ** j for j in range(-J, J + 1)]
+        masses = [sphere * R ** dpa / dpa for R in radii]
+    except OverflowError:
+        masses = [math.inf]
+    if J < 1 or not all(map(math.isfinite, masses)):
+        raise RadiusGridError(f"radius grids need J >= 1 and finite ball masses, got J = {J}")
+    return radii, masses
 
 
 def _brackets(masses, moments, p: float, lam: float, capped: bool):
@@ -383,8 +399,7 @@ def _sup_over_grid(radii, brackets, errors, capped: bool = False) -> NormResult:
 
 
 def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
-                        J: int = _DEFAULT_J, tol: float = 1e-10,
-                        force_quadrature: bool = False,
+                        J: int = _DEFAULT_J, force_quadrature: bool = False,
                         use_grid: bool = False) -> NormResult:
     """sup_R bracket(R) over the dyadic radius grid R = 2^j, |j| <= J.
 
@@ -420,7 +435,7 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
 
         cuts = [b for b in (f.inner_cutoff, f.outer_cutoff) if b]
         results, raised = _radial_integrals(
-            integrand, [(min(lo, R), min(hi, R), cuts) for R in radii], tol=tol)
+            integrand, [(min(lo, R), min(hi, R), cuts) for R in radii])
         if raised:
             raise raised.pop()
         moments = [(sphere * v, sphere * e, status) for v, e, status in results]
@@ -442,7 +457,7 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
 # ---------------------------------------------------------------------------
 
 def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
-             J: int = _DEFAULT_J, tol: float = 1e-10) -> NormResult:
+             J: int = _DEFAULT_J) -> NormResult:
     """Central mean-oscillation norm on the dyadic radius grid.
 
     Per radius: the weighted mean b_{B,w} on B(0,R), then
@@ -480,8 +495,7 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
         def signed(r, _k):
             return b.profile_at(r) * r ** (dpa - 1.0)
 
-        results, mean_raised = _radial_integrals(signed, [(0.0, R, ()) for R in radii],
-                                                 tol=tol)
+        results, mean_raised = _radial_integrals(signed, [(0.0, R, ()) for R in radii])
         means = []
         for mass, (val, _, status) in zip(masses, results):
             if status == "divergent":
@@ -499,7 +513,7 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
         kink = math.exp(m) if b.is_log else None
         members.append((0.0, R, [kink] if kink and 0 < kink < R else []))
     # the oscillation of each radius comes before the mean of the next
-    results, raised = _radial_integrals(osc, members, tol=tol)
+    results, raised = _radial_integrals(osc, members)
     if raised:
         raise raised.pop()
     brackets = _brackets(masses, [(sphere * v, sphere * e, status) for v, e, status in results],

@@ -180,28 +180,6 @@ class Weight:
         dpa = self.d + self.degree
         return self.sphere_integral() * radius ** dpa / dpa
 
-    def interval_integral(self, a: float, b: float) -> float:
-        """d = 1 only: integral of omega over the interval [a, b]."""
-        if self.d != 1:
-            raise ValueError("interval integrals are a d = 1 operation")
-        if b < a:
-            a, b = b, a
-        alpha = self.degree
-        cval = self.sphere_integral() / 2.0  # omega(1) for d = 1
-
-        def piece(lo, hi):  # 0 <= lo <= hi
-            if hi == lo:
-                return 0.0
-            if alpha <= -1.0 and lo == 0.0:
-                raise DivergentWeightError("weight is not integrable across the origin")
-            return cval * (hi ** (alpha + 1) - lo ** (alpha + 1)) / (alpha + 1)
-
-        if a >= 0:
-            return piece(a, b)
-        if b <= 0:
-            return piece(-b, -a)
-        return piece(0.0, -a) + piece(0.0, b)
-
 
 def isotropic(d: int, degree: float, c: float = 1.0) -> Weight:
     """c |x|^degree; the ubiquitous power weight."""

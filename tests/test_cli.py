@@ -12,7 +12,10 @@ import hardylab
 from hardylab.cli import (EXIT_DIVERGENT, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
                           bundled_scenario_dir, load_scenario, main, run,
                           run_suite, write_report)
+from hardylab.expr import parse
+from hardylab.kernels import KernelSpec, Scenario, check_walpha_condition
 from hardylab.spaces import cmo_norm, log_profile
+from hardylab.weights import Weight
 
 SCENARIOS = bundled_scenario_dir()
 
@@ -174,6 +177,38 @@ def test_check_conditions_command(tmp_path):
     names = {c["name"] for c in rep["checks"]}
     assert "homogeneous-weight-vector" in names
     assert "morrey-balance-sufficiency" in names
+
+
+def test_check_conditions_reads_power_x1_and_angular_weights(tmp_path):
+    weights = [{"degree": 0.5, "kind": "power-x1", "params": {"c": 1.5, "e": 0.5}},
+               {"degree": -0.5, "kind": "angular", "params": {"phi": "2 + t1^2"}}]
+    path = tmp_path / "weight-kinds.json"
+    path.write_text(json.dumps({
+        "geometry": {"d": 2},
+        "kernel": {"m": 2, "n": 2, "psi": "1", "s": ["t1", "t2"]},
+        "weights": weights, "exponents": {"p": [3, 3]},
+        "task": {"command": "check-conditions"}}))
+    out = tmp_path / "report.json"
+    run("check-conditions", path, out, {"no_timestamp": True})
+    got, = [c for c in read(out)["checks"] if c["name"] == "homogeneous-weight-vector"]
+    kernel = KernelSpec(m=2, n=2, psi=parse("1", 2), s=(parse("t1", 2), parse("t2", 2)))
+    direct = (Weight(d=2, degree=0.5, kind="power-x1", c=1.5, e=0.5),
+              Weight(d=2, degree=-0.5, kind="angular", phi=parse("2 + t1^2", 1)))
+    want = check_walpha_condition(Scenario(d=2, kernel=kernel, weights=direct, p=(3, 3)))
+    assert got["passed"] == want.passed
+    assert [got["report"][key] for key in ("lhs", "rhs", "slack")] == \
+        [want.lhs, want.rhs, want.slack]
+
+
+@pytest.mark.parametrize("J", ["0", "-1", "1100"])
+def test_bad_radii_J_is_an_input_error(tmp_path, J):
+    # one radius, none, or a grid whose largest ball 2^1100 overflows
+    out = tmp_path / "report.json"
+    code = main(["morrey-extremal", str(SCENARIOS / "morrey-extremal-m2.json"),
+                 "-o", str(out), "--radii-J", J])
+    doc = read(out)
+    assert code == doc["exit_code"] == EXIT_INPUT
+    assert doc["error"].endswith(f"J = {J}")
 
 
 def test_suite_over_bundled_dir(tmp_path):

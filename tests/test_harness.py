@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -238,6 +239,40 @@ def test_divergent_profile_raises_and_cutoff_reports_divergent():
     res = operator_radial_lp_norm(
         OperatorInstance(s, (power_profile(-0.5, inner_cutoff=1.0),)))
     assert res.status == "divergent"
+
+
+def test_operator_norm_probed_tail_when_the_ceiling_diverges():
+    # psi = t^-0.9 and f = r^-0.5 1{r >= 1}: without the cutoff T f diverges,
+    # so the decay of the moment beyond 2^40 is probed.  For r >= 1,
+    # T f(r) = (r^-0.1 - r^-0.5) / 0.4, and at p = 12
+    # int_1^inf (r^-0.1 - r^-0.5)^12 dr = sum_j C(12, j) (-1)^j 5 / (2j + 1)
+    k = KernelSpec(m=1, n=1, psi=parse("t1^-0.9", 1), s=(parse("t1", 1),))
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(12,))
+    res = operator_radial_lp_norm(
+        OperatorInstance(s, (power_profile(-0.5, inner_cutoff=1.0),)))
+    moment = sum(Fraction(math.comb(12, j) * (-1) ** j * 5, 2 * j + 1) for j in range(13))
+    want = float(2 * moment / Fraction(2, 5) ** 12) ** (1.0 / 12.0)
+    assert res.status == "finite"
+    assert abs(res.value - want) <= res.error
+
+
+def test_operator_norm_pointwise_fallback_matches_separable_route():
+    # exp(0*t1) is psi = 1 to the value but not to the separable route, so
+    # the profile comes from pointwise apply.  For r >= 1 the Hardy output of
+    # r^-0.6 1{r >= 1} is r^-0.6 (1 - r^-0.4) / 0.4, of norm 10/sqrt(3)
+    def instance(psi):
+        k = KernelSpec(m=1, n=1, psi=parse(psi, 1), s=(parse("t1", 1),), beta=1.0)
+        s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2.0,))
+        return OperatorInstance(s, (power_profile(-0.6, inner_cutoff=1.0),))
+
+    pointwise = instance("exp(0*t1)")
+    assert operators.separable_profile(pointwise) is None
+    a = operator_radial_lp_norm(pointwise)
+    b = operator_radial_lp_norm(instance("1"))
+    assert a.status == b.status == "finite"
+    assert abs(a.value - b.value) <= a.error + b.error
+    for res in (a, b):
+        assert abs(res.value - 10.0 / math.sqrt(3.0)) <= res.error
 
 
 def test_operator_norm_call_counts_do_not_grow_with_radii(monkeypatch):

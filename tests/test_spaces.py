@@ -6,8 +6,8 @@ import pytest
 from hardylab import quad
 from hardylab.expr import parse
 from hardylab.quad import integrate_interval
-from hardylab.spaces import (RadialFunction, _cap_fraction, _sup_over_grid,
-                             central_morrey_norm,
+from hardylab.spaces import (RadialFunction, RadiusGridError, _cap_fraction,
+                             _radial_integrals, _sup_over_grid, central_morrey_norm,
                              cmo_norm, log_bmo_check, lp_norm, make_witness_lp,
                              log_profile, power_profile)
 from hardylab.weights import isotropic
@@ -173,6 +173,82 @@ def test_cmo_log_power_weight_bracket(alpha):
     assert res.value == pytest.approx(1.0 / (1.0 + alpha), rel=1e-8)
     spread = max(res.brackets) - min(res.brackets)
     assert spread <= 1e-8 * res.value
+
+
+# ---------------------------------------------------------------------------
+# radial ranges: a finite one ends at its own radius, an infinite one gets
+# the analytic tail beyond 2^40
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("J", [41, 45])
+def test_cmo_log_grid_past_the_tail_radius_is_one(J):
+    # the radii above 2^40 integrate up to themselves, not to infinity
+    res = cmo_norm(log_profile(), isotropic(1, 0.0), 2.0, J=J)
+    assert res.status == "finite"
+    assert abs(res.value - 1.0) <= res.error
+
+
+def test_forced_morrey_brackets_past_the_tail_radius_are_closed_form():
+    # r^-0.6 1{r >= 1}, d = 1, p = 2, lambda = -1/4: the ball B(0, R) has
+    # mass 2 R and moment 2 (1 - R^-0.2) / 0.2
+    res = central_morrey_norm(power_profile(-0.6, inner_cutoff=1.0), isotropic(1, 0.0),
+                              2.0, -0.25, J=41, force_quadrature=True)
+    assert res.radii[-2:] == (2.0 ** 40, 2.0 ** 41)
+    for R, bracket in zip(res.radii[-2:], res.brackets[-2:]):
+        want = math.sqrt((2.0 * R) ** -0.5 * 2.0 * (1.0 - R ** -0.2) / 0.2)
+        assert abs(bracket - want) <= res.error
+
+
+def test_radial_integrals_reject_an_infinite_radius():
+    with pytest.raises(ValueError, match="need finite a < b"):
+        _radial_integrals(lambda r, _k: np.exp(-r), [(0.0, math.inf, ())])
+
+
+@pytest.mark.parametrize("J", [0, -1, 600])
+def test_radius_grid_that_cannot_be_sampled_is_rejected(J):
+    # J = 0 leaves one radius; at J = 600 the d = 2 ball mass 2^1200 overflows
+    w = isotropic(2, 0.0)
+    with pytest.raises(RadiusGridError, match=f"J = {J}$"):
+        central_morrey_norm(power_profile(-0.6, inner_cutoff=1.0), w, 2.0, -0.25, J=J)
+    with pytest.raises(RadiusGridError, match=f"J = {J}$"):
+        cmo_norm(log_profile(), w, 2.0, J=J)
+
+
+@pytest.mark.parametrize("text, lo, want", [
+    ("r^(-1) * exp(0*r)", 1.0, math.sqrt(2.0)),
+    ("r^(-1) * log(r)", 2.0, math.sqrt(math.log(2.0) ** 2 + 2.0 * math.log(2.0) + 2.0)),
+    ("r^(-1) * exp(0*r)", 1.5 * 2.0 ** 40, math.sqrt(2.0 / (1.5 * 2.0 ** 40))),
+], ids=["1/r", "log(r)/r", "1/r-past-2^40"])
+def test_lp_norm_probed_tail_against_closed_form(text, lo, want):
+    # not a power, so the decay of the tail beyond 2^40 is probed
+    f = RadialFunction(parse(text, 0), inner_cutoff=lo)
+    assert f.power_form() is None
+    res = lp_norm(f, isotropic(1, 0.0), 2.0)
+    assert (res.status, res.method) == ("finite", "radial-quadrature")
+    assert abs(res.value - want) <= res.error
+
+
+def test_lp_norm_divergent_quadrature_piece_is_divergent():
+    # |r^-0.6|^2 = r^-1.2 is not integrable at 0 in d = 1, as the closed form says
+    f = power_profile(-0.6, outer_cutoff=1.0)
+    assert lp_norm(f, isotropic(1, 0.0), 2.0).divergent
+    res = lp_norm(f, isotropic(1, 0.0), 2.0, force_quadrature=True)
+    assert (res.status, res.method) == ("divergent", "radial-quadrature")
+
+
+def test_lp_norm_support_past_the_tail_radius_matches_closed_form():
+    # the tail starts where the support does, not at 2^40, where f is 0
+    f = power_profile(-1.0, inner_cutoff=1.5 * 2.0 ** 40)
+    exact = lp_norm(f, isotropic(1, 0.0), 2.0)
+    res = lp_norm(f, isotropic(1, 0.0), 2.0, force_quadrature=True)
+    assert (res.status, exact.method) == ("finite", "closed-form")
+    assert abs(res.value - exact.value) <= res.error
+
+
+def test_lp_norm_probed_flat_tail_is_divergent():
+    # |r^-0.5|^2 = 1/r: the probed slope is -1, a tail that does not converge
+    f = RadialFunction(parse("r^(-0.5) * exp(0*r)", 0), inner_cutoff=1.0)
+    assert lp_norm(f, isotropic(1, 0.0), 2.0).status == "divergent"
 
 
 # ---------------------------------------------------------------------------

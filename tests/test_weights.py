@@ -89,14 +89,6 @@ def test_product_weight_mass_is_not_product_of_masses():
                                       * w3.sphere_integral() ** 0.5)
 
 
-def test_interval_integral_d1():
-    w = isotropic(1, -0.5)
-    # int_{-1}^{4} |z|^{-1/2} dz = 2*sqrt(1) + 2*sqrt(4)
-    assert w.interval_integral(-1.0, 4.0) == pytest.approx(6.0)
-    with pytest.raises(DivergentWeightError):
-        isotropic(1, -1.5).interval_integral(-1.0, 1.0)
-
-
 def test_angular_profile_weight():
     from hardylab.expr import parse
 
