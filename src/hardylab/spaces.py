@@ -456,19 +456,34 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
 # central BMO norm
 # ---------------------------------------------------------------------------
 
+def _log_oscillation_moment(q: float) -> float:
+    """I_q = integral_0^inf |1 - v|^q e^{-v} dv
+           = e^{-1} (Gamma(q+1) + sum_k 1/(k! (q+k+1)));
+    OverflowError once Gamma(q+1) is past the floats (q above about 170)."""
+    series = [1.0 / (math.factorial(k) * (q + k + 1.0)) for k in range(25)]
+    return math.fsum([math.gamma(q + 1.0)] + series) / math.e
+
+
 def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
-             J: int = _DEFAULT_J) -> NormResult:
+             J: int = _DEFAULT_J, force_quadrature: bool = False) -> NormResult:
     """Central mean-oscillation norm on the dyadic radius grid.
 
     Per radius: the weighted mean b_{B,w} on B(0,R), then
 
         bracket(R) = ( w(B)^{-(1+lambda q)} int_B |b - b_{B,w}|^q w )^{1/q}.
 
-    lambda = 0 is the plain central BMO norm.  For b = log|x| and a power
-    weight the bracket is R-independent with the closed value known from the
-    log-moment integrals; the grid evaluation reproduces it.
+    lambda = 0 is the plain central BMO norm.  For b = log|x| without
+    cutoffs the mean is log R - 1/(d+alpha), and r = R u, v = -(d+alpha) log u
+    turn the oscillation moment into the closed form
 
-    The means (in closed form for b = log|x| without cutoffs) and then the
+        int_B |b - b_{B,w}|^q w = w(S_d) R^{d+alpha} (d+alpha)^{-q-1} I_q,
+
+    so every lambda = 0 bracket is I_q^{1/q}/(d+alpha), with I_q from
+    _log_oscillation_moment.  With ``force_quadrature`` the grid evaluation
+    below reproduces it.
+
+    On the grid (forced, another symbol, or an I_q beyond the floats) the
+    means (in closed form for b = log|x| without cutoffs) and then the
     oscillations integrate the whole radius grid in lockstep, one integrand
     call per refinement round for every radius, each with the result it
     would have alone.  An integral that hits the quadrature's cell cap
@@ -487,9 +502,18 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
         return NormResult(0.0, "closed-form")  # constants oscillate by zero
 
     radii, masses = _radius_grid(sphere, dpa, J)
+    plain_log = b.is_log and b.inner_cutoff is None and b.outer_cutoff is None
+    if plain_log and not force_quadrature:
+        try:
+            shrink, I_q = dpa ** (-q - 1.0), _log_oscillation_moment(q)
+        except OverflowError:
+            pass  # one of them is not a float: the grid decides
+        else:
+            moments = [(sphere * R ** dpa * shrink * I_q, 0.0, "finite") for R in radii]
+            return _sup_over_grid(radii, *_brackets(masses, moments, q, lam, False))
     capped = False
     mean_raised = []  # the exception of the first mean that raised, if any
-    if b.is_log and b.inner_cutoff is None and b.outer_cutoff is None:
+    if plain_log:
         means = [math.log(R) - 1.0 / dpa for R in radii]
     else:
         def signed(r, _k):

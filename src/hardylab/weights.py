@@ -70,6 +70,8 @@ class Weight:
             raise ValueError("dimension must be >= 1")
         if self.kind not in ("isotropic", "power-x1", "angular", "product"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        if self.kind in ("isotropic", "power-x1") and not self.c > 0.0:
+            raise ValueError(f"weight constant c must be > 0, got {self.c}")
         if self.kind == "angular":
             if self.d > 2:
                 raise ValueError("angular-profile weights are limited to d <= 2")

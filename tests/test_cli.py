@@ -64,6 +64,19 @@ def test_input_error_exit(tmp_path):
     assert run("frobnicate", SCENARIOS / "hardy-p2.json", out, {}) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_weight_constant_below_zero_is_an_input_error(tmp_path, c):
+    doc = read(SCENARIOS / "morrey-extremal-m2.json")
+    doc["weights"][1]["params"]["c"] = c
+    doc["task"] = {"command": "norms", "params": {"inputs": [
+        {"profile": "r^(-0.6)", "inner_cutoff": 1.0}]}}
+    path = tmp_path / "bad-weight.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run("norms", path, out, {"no_timestamp": True}) == EXIT_INPUT
+    assert "weight constant c must be > 0" in read(out)["error"]
+
+
 def test_expected_value_failure(tmp_path):
     doc = read(SCENARIOS / "hardy-p2.json")
     doc["task"]["params"]["expected_value"] = 3.0

@@ -6,10 +6,10 @@ import pytest
 from hardylab import quad
 from hardylab.expr import parse
 from hardylab.quad import integrate_interval
-from hardylab.spaces import (RadialFunction, RadiusGridError, _cap_fraction,
-                             _radial_integrals, _sup_over_grid, central_morrey_norm,
-                             cmo_norm, log_bmo_check, lp_norm, make_witness_lp,
-                             log_profile, power_profile)
+from hardylab.spaces import (RadialFunction, RadiusGridError, _analytic_tail,
+                             _cap_fraction, _radial_integrals, _sup_over_grid,
+                             central_morrey_norm, cmo_norm, log_bmo_check, lp_norm,
+                             make_witness_lp, log_profile, power_profile)
 from hardylab.weights import isotropic
 
 from conftest import diagonal_scenario, hardy_scenario
@@ -245,6 +245,29 @@ def test_lp_norm_support_past_the_tail_radius_matches_closed_form():
     assert abs(res.value - exact.value) <= res.error
 
 
+def test_lp_norm_forced_flat_power_tail_is_divergent():
+    # |r^-0.5|^2 = 1/r beyond 1: the known tail exponent -1 does not converge
+    f = power_profile(-0.5, inner_cutoff=1.0)
+    assert lp_norm(f, isotropic(1, 0.0), 2.0).divergent
+    res = lp_norm(f, isotropic(1, 0.0), 2.0, force_quadrature=True)
+    assert (res.status, res.method) == ("divergent", "radial-quadrature")
+
+
+def test_probed_tail_that_dies_within_an_octave():
+    # |exp(-(r/T)^64)|^2 is e^-2 at T = 2^40 and 0 in floats at 2T: no slope
+    # to read, so the probe falls back to r^-2; the tail is
+    # T int_1^inf exp(-2 u^64) du = T 2^{-1/64} Gamma(1/64, 2)/64
+    from scipy.special import gamma, gammaincc
+
+    T = 2.0 ** 40
+    f = RadialFunction(parse("exp(-(r*2^(-40))^64)", 0))
+    tail, err = _analytic_tail(lambda r: f.profile_at(r) ** 2, None, T)
+    want = T * 2.0 ** (-1.0 / 64) * gammaincc(1.0 / 64, 2.0) * gamma(1.0 / 64) / 64
+    assert tail == pytest.approx(math.exp(-2.0) * T, rel=1e-15)
+    assert abs(tail - want) <= err
+    assert lp_norm(f, isotropic(1, 0.0), 2.0).status == "finite"
+
+
 def test_lp_norm_probed_flat_tail_is_divergent():
     # |r^-0.5|^2 = 1/r: the probed slope is -1, a tail that does not converge
     f = RadialFunction(parse("r^(-0.5) * exp(0*r)", 0), inner_cutoff=1.0)
@@ -306,7 +329,8 @@ def test_cmo_grid_matches_one_radius_at_a_time(symbol):
         br = mass ** (-(1.0 + lam * q)) * moment
         brackets.append(br ** (1.0 / q))
         errors.append((sphere * err / max(moment, 1e-300)) / q * brackets[-1])
-    assert repr(cmo_norm(b, w, q, lam)) == repr(_sup_over_grid(_radii(), brackets, errors))
+    res = cmo_norm(b, w, q, lam, force_quadrature=True)
+    assert repr(res) == repr(_sup_over_grid(_radii(), brackets, errors))
 
 
 @pytest.mark.parametrize("f", [power_profile(-0.375, outer_cutoff=2.5),
@@ -342,11 +366,16 @@ def test_cmo_grid_makes_one_integrand_call_per_round(monkeypatch):
         return real(self, r)
 
     monkeypatch.setattr(RadialFunction, "profile_at", counting)
-    res = cmo_norm(log_profile(), isotropic(2, 0.3), 2.0)
+    res = cmo_norm(log_profile(), isotropic(2, 0.3), 2.0, force_quadrature=True)
     assert res.value == pytest.approx(1.0 / 2.3, rel=1e-9)
     # one call probes every face; one call a round refines every radius
     # (about 600 calls, one radius and one panel set at a time, before)
     assert calls[0] <= 30
+    # the closed-form oscillation moments evaluate no profile at all
+    calls[0] = 0
+    assert cmo_norm(log_profile(), isotropic(2, 0.3), 2.0).value == \
+        pytest.approx(1.0 / 2.3, rel=1e-14)
+    assert calls[0] == 0
 
 
 def test_capped_radial_quadrature_is_unreliable(monkeypatch):
@@ -357,7 +386,55 @@ def test_capped_radial_quadrature_is_unreliable(monkeypatch):
     assert lp_norm(f, w, 2.0).status == "unreliable"
     assert central_morrey_norm(f, w, 2.0, -0.25).status == "unreliable"
     assert cmo_norm(f, w, 2.0).status == "unreliable"
-    assert cmo_norm(log_profile(), w, 2.0).status == "unreliable"
+    assert cmo_norm(log_profile(), w, 2.0, force_quadrature=True).status == "unreliable"
+    # closed-form oscillation moments: no quadrature, so no cell cap
+    assert cmo_norm(log_profile(), w, 2.0).status == "finite"
+
+
+# d + alpha = 0.6, 1, 2.3 and 4
+_LOG_WEIGHTS = [isotropic(1, -0.4), isotropic(1, 0.0), isotropic(2, 0.3), isotropic(3, 1.0)]
+_LOG_QS = [1.5, 2.0, 3.0, 4.5]
+
+
+def _log_cmo_oracle(w, q):
+    """Every lambda = 0 bracket of log|x|: I_q^{1/q}/(d+alpha), with
+    I_q = int_0^inf |1 - v|^q e^{-v} dv taken at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        I_q = mpmath.quad(lambda v: abs(1 - v) ** q * mpmath.exp(-v), [0, 1, mpmath.inf])
+        return float(I_q ** (1 / mpmath.mpf(q)) / (w.d + w.degree))
+
+
+@pytest.mark.parametrize("q", _LOG_QS)
+@pytest.mark.parametrize("w", _LOG_WEIGHTS, ids=["0.6", "1", "2.3", "4"])
+def test_cmo_of_log_against_mpmath(w, q):
+    want = _log_cmo_oracle(w, q)
+    res = cmo_norm(log_profile(), w, q)
+    assert res.status == "finite"
+    assert abs(res.value - want) <= 1e-14 * want
+    for lam in (-0.1, 0.1):  # brackets that grow geometrically at one end
+        assert cmo_norm(log_profile(), w, q, lam).status == "divergent"
+        assert cmo_norm(log_profile(), w, q, lam, force_quadrature=True).status == "divergent"
+
+
+@pytest.mark.parametrize("w, q", [
+    pytest.param(w, q, id=f"{w.d + w.degree:g}-{q:g}", marks=pytest.mark.xfail(
+        strict=True, reason="the mass of r^-0.4 |log r - m|^4.5 lies below depth 24, "
+                            "so the divergence scan reads tenfold growth")
+                 if (w.d + w.degree, q) == (0.6, 4.5) else ())
+    for w in _LOG_WEIGHTS for q in _LOG_QS])
+def test_forced_cmo_grid_of_log_against_mpmath(w, q):
+    want = _log_cmo_oracle(w, q)
+    res = cmo_norm(log_profile(), w, q, force_quadrature=True)
+    assert res.status == "finite"
+    assert abs(res.value - want) <= res.error
+
+
+def test_cmo_of_log_past_the_floats_takes_the_grid():
+    # Gamma(201) overflows, so I_q is not a float; the grid decides
+    w = isotropic(3, 0.0)
+    assert repr(cmo_norm(log_profile(), w, 200.0)) == \
+        repr(cmo_norm(log_profile(), w, 200.0, force_quadrature=True))
 
 
 def test_cmo_constant_is_zero():

@@ -14,6 +14,15 @@ def test_pointwise_power_weights():
     assert isotropic(3, -1.0).eval_point([0.0, 0.0, 2.0]) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("kind", ["isotropic", "power-x1"])
+def test_weight_constant_must_be_positive(kind, c):
+    # c = 0 made zero ball masses (a ZeroDivisionError in the Morrey
+    # brackets), c = -1 a complex Lebesgue norm reported as finite
+    with pytest.raises(ValueError, match="weight constant c must be > 0"):
+        Weight(d=2, degree=0.0, kind=kind, c=c)
+
+
 def test_origin_conventions():
     assert isotropic(2, 1.5).eval_point([0.0, 0.0]) == 0.0
     from hardylab.expr import DomainError
