@@ -456,16 +456,17 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
 # central BMO norm
 # ---------------------------------------------------------------------------
 
-def _log_oscillation_moment(q: float) -> float:
-    """I_q = integral_0^inf |1 - v|^q e^{-v} dv
-           = e^{-1} (Gamma(q+1) + sum_k 1/(k! (q+k+1)));
-    OverflowError once Gamma(q+1) is past the floats (q above about 170)."""
-    series = [1.0 / (math.factorial(k) * (q + k + 1.0)) for k in range(25)]
-    return math.fsum([math.gamma(q + 1.0)] + series) / math.e
+def _log_oscillation_log_moment(q: float) -> float:
+    """log I_q for I_q = integral_0^inf |1 - v|^q e^{-v} dv
+    = e^{-1} (Gamma(q+1) + S), S = sum_k 1/(k! (q+k+1)), taken as
+    lgamma(q+1) - 1 + log1p(S e^{-lgamma(q+1)}) so that no q overflows."""
+    log_gamma = math.lgamma(q + 1.0)
+    series = math.fsum(1.0 / (math.factorial(k) * (q + k + 1.0)) for k in range(25))
+    return log_gamma - 1.0 + math.log1p(series * math.exp(-log_gamma))
 
 
 def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
-             J: int = _DEFAULT_J, force_quadrature: bool = False) -> NormResult:
+             J: int = _DEFAULT_J) -> NormResult:
     """Central mean-oscillation norm on the dyadic radius grid.
 
     Per radius: the weighted mean b_{B,w} on B(0,R), then
@@ -478,16 +479,13 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
 
         int_B |b - b_{B,w}|^q w = w(S_d) R^{d+alpha} (d+alpha)^{-q-1} I_q,
 
-    so every lambda = 0 bracket is I_q^{1/q}/(d+alpha), with I_q from
-    _log_oscillation_moment.  With ``force_quadrature`` the grid evaluation
-    below reproduces it.
+    so bracket(R) = I_q^{1/q}/(d+alpha) w(B)^{-lambda}, with log I_q from
+    _log_oscillation_log_moment: every lambda = 0 bracket is the same.
 
-    On the grid (forced, another symbol, or an I_q beyond the floats) the
-    means (in closed form for b = log|x| without cutoffs) and then the
-    oscillations integrate the whole radius grid in lockstep, one integrand
-    call per refinement round for every radius, each with the result it
-    would have alone.  An integral that hits the quadrature's cell cap
-    makes the norm 'unreliable'.
+    For other symbols the means and then the oscillations integrate the
+    whole radius grid in lockstep, one integrand call per refinement round
+    for every radius, each with the result it would have alone.  An
+    integral that hits the quadrature's cell cap makes the norm 'unreliable'.
     """
     if q <= 1:
         raise ValueError("q must be > 1")
@@ -502,30 +500,27 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
         return NormResult(0.0, "closed-form")  # constants oscillate by zero
 
     radii, masses = _radius_grid(sphere, dpa, J)
-    plain_log = b.is_log and b.inner_cutoff is None and b.outer_cutoff is None
-    if plain_log and not force_quadrature:
-        try:
-            shrink, I_q = dpa ** (-q - 1.0), _log_oscillation_moment(q)
-        except OverflowError:
-            pass  # one of them is not a float: the grid decides
-        else:
-            moments = [(sphere * R ** dpa * shrink * I_q, 0.0, "finite") for R in radii]
-            return _sup_over_grid(radii, *_brackets(masses, moments, q, lam, False))
+    if b.is_log and b.inner_cutoff is None and b.outer_cutoff is None:
+        log_moment = _log_oscillation_log_moment(q)
+        log_flat = log_moment / q - math.log(dpa)
+        with np.errstate(over="ignore"):  # lambda != 0 only: growth, hence divergent
+            brackets = np.exp(log_flat - lam * np.log(masses))
+        # an ulp or so of each log term, which exp carries as a relative error
+        rel = 4.0 * np.finfo(float).eps * (1.0 + abs(log_moment) / q + abs(math.log(dpa)))
+        return _sup_over_grid(radii, brackets.tolist(), (rel * brackets).tolist())
     capped = False
     mean_raised = []  # the exception of the first mean that raised, if any
-    if plain_log:
-        means = [math.log(R) - 1.0 / dpa for R in radii]
-    else:
-        def signed(r, _k):
-            return b.profile_at(r) * r ** (dpa - 1.0)
 
-        results, mean_raised = _radial_integrals(signed, [(0.0, R, ()) for R in radii])
-        means = []
-        for mass, (val, _, status) in zip(masses, results):
-            if status == "divergent":
-                break
-            capped |= status == "unreliable"
-            means.append(sphere * val / mass)
+    def signed(r, _k):
+        return b.profile_at(r) * r ** (dpa - 1.0)
+
+    results, mean_raised = _radial_integrals(signed, [(0.0, R, ()) for R in radii])
+    means = []
+    for mass, (val, _, status) in zip(masses, results):
+        if status == "divergent":
+            break
+        capped |= status == "unreliable"
+        means.append(sphere * val / mass)
 
     mean = np.array(means)
 

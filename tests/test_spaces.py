@@ -308,19 +308,21 @@ def _radii(J=20):
     return [2.0 ** j for j in range(-J, J + 1)]
 
 
+# log|x| cut off beyond the largest grid radius 2^20: every ball sees log|x|,
+# but the cutoff keeps the norm off the closed form and on the grid
+_GRID_LOG = RadialFunction(parse("log(r)", 0), outer_cutoff=2.0 ** 30)
+
+
 @pytest.mark.parametrize("symbol", ["log(r)", "exp(-r)"])
 def test_cmo_grid_matches_one_radius_at_a_time(symbol):
-    b = RadialFunction(parse(symbol, 0))
+    b = RadialFunction(parse(symbol, 0), outer_cutoff=2.0 ** 30)
     w, q, lam = isotropic(2, 0.3), 2.0, 0.0
     sphere, dpa = w.sphere_integral(), w.d + w.degree
     brackets, errors = [], []
     for R in _radii():
         mass = sphere * R ** dpa / dpa
-        if b.is_log:
-            mean = math.log(R) - 1.0 / dpa
-        else:
-            val, _ = _radial_reference(lambda r: b.profile_at(r) * r ** (dpa - 1.0), 0.0, R)
-            mean = sphere * val / mass
+        val, _ = _radial_reference(lambda r: b.profile_at(r) * r ** (dpa - 1.0), 0.0, R)
+        mean = sphere * val / mass
         kink = math.exp(mean) if b.is_log else None
         val, err = _radial_reference(
             lambda r: np.abs(b.profile_at(r) - mean) ** q * r ** (dpa - 1.0), 0.0, R,
@@ -329,7 +331,7 @@ def test_cmo_grid_matches_one_radius_at_a_time(symbol):
         br = mass ** (-(1.0 + lam * q)) * moment
         brackets.append(br ** (1.0 / q))
         errors.append((sphere * err / max(moment, 1e-300)) / q * brackets[-1])
-    res = cmo_norm(b, w, q, lam, force_quadrature=True)
+    res = cmo_norm(b, w, q, lam)
     assert repr(res) == repr(_sup_over_grid(_radii(), brackets, errors))
 
 
@@ -366,7 +368,7 @@ def test_cmo_grid_makes_one_integrand_call_per_round(monkeypatch):
         return real(self, r)
 
     monkeypatch.setattr(RadialFunction, "profile_at", counting)
-    res = cmo_norm(log_profile(), isotropic(2, 0.3), 2.0, force_quadrature=True)
+    res = cmo_norm(_GRID_LOG, isotropic(2, 0.3), 2.0)
     assert res.value == pytest.approx(1.0 / 2.3, rel=1e-9)
     # one call probes every face; one call a round refines every radius
     # (about 600 calls, one radius and one panel set at a time, before)
@@ -386,7 +388,7 @@ def test_capped_radial_quadrature_is_unreliable(monkeypatch):
     assert lp_norm(f, w, 2.0).status == "unreliable"
     assert central_morrey_norm(f, w, 2.0, -0.25).status == "unreliable"
     assert cmo_norm(f, w, 2.0).status == "unreliable"
-    assert cmo_norm(log_profile(), w, 2.0, force_quadrature=True).status == "unreliable"
+    assert cmo_norm(_GRID_LOG, w, 2.0).status == "unreliable"
     # closed-form oscillation moments: no quadrature, so no cell cap
     assert cmo_norm(log_profile(), w, 2.0).status == "finite"
 
@@ -398,23 +400,26 @@ _LOG_QS = [1.5, 2.0, 3.0, 4.5]
 
 def _log_cmo_oracle(w, q):
     """Every lambda = 0 bracket of log|x|: I_q^{1/q}/(d+alpha), with
-    I_q = int_0^inf |1 - v|^q e^{-v} dv taken at 30 digits."""
+    I_q = int_0^inf |1 - v|^q e^{-v} dv taken at 30 digits (split at the
+    kink v = 1 and the peak v = q + 1)."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        I_q = mpmath.quad(lambda v: abs(1 - v) ** q * mpmath.exp(-v), [0, 1, mpmath.inf])
+        I_q = mpmath.quad(lambda v: abs(1 - v) ** q * mpmath.exp(-v),
+                          [0, 1, q + 1, mpmath.inf])
         return float(I_q ** (1 / mpmath.mpf(q)) / (w.d + w.degree))
 
 
-@pytest.mark.parametrize("q", _LOG_QS)
+# q = 170 and up: Gamma(q+1) R^{d+alpha} is past the floats, I_q^{1/q} is not
+@pytest.mark.parametrize("q", _LOG_QS + [170.0, 1000.0])
 @pytest.mark.parametrize("w", _LOG_WEIGHTS, ids=["0.6", "1", "2.3", "4"])
 def test_cmo_of_log_against_mpmath(w, q):
     want = _log_cmo_oracle(w, q)
     res = cmo_norm(log_profile(), w, q)
     assert res.status == "finite"
     assert abs(res.value - want) <= 1e-14 * want
+    assert abs(res.value - want) <= res.error
     for lam in (-0.1, 0.1):  # brackets that grow geometrically at one end
         assert cmo_norm(log_profile(), w, q, lam).status == "divergent"
-        assert cmo_norm(log_profile(), w, q, lam, force_quadrature=True).status == "divergent"
 
 
 @pytest.mark.parametrize("w, q", [
@@ -423,18 +428,13 @@ def test_cmo_of_log_against_mpmath(w, q):
                             "so the divergence scan reads tenfold growth")
                  if (w.d + w.degree, q) == (0.6, 4.5) else ())
     for w in _LOG_WEIGHTS for q in _LOG_QS])
-def test_forced_cmo_grid_of_log_against_mpmath(w, q):
+def test_cmo_grid_of_log_against_mpmath(w, q):
     want = _log_cmo_oracle(w, q)
-    res = cmo_norm(log_profile(), w, q, force_quadrature=True)
+    res = cmo_norm(_GRID_LOG, w, q)
     assert res.status == "finite"
     assert abs(res.value - want) <= res.error
-
-
-def test_cmo_of_log_past_the_floats_takes_the_grid():
-    # Gamma(201) overflows, so I_q is not a float; the grid decides
-    w = isotropic(3, 0.0)
-    assert repr(cmo_norm(log_profile(), w, 200.0)) == \
-        repr(cmo_norm(log_profile(), w, 200.0, force_quadrature=True))
+    for lam in (-0.1, 0.1):
+        assert cmo_norm(_GRID_LOG, w, q, lam).status == "divergent"
 
 
 def test_cmo_constant_is_zero():
