@@ -145,27 +145,60 @@ def load_scenario(path: Path) -> tuple[Scenario, dict, dict]:
 # report plumbing
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _emit(obj, out: list, newline: str) -> None:
+    """Append the JSON text of obj to out, as json.dumps(..., indent=2,
+    sort_keys=True) writes it once dataclasses are read as dicts of their
+    fields, tuples and arrays as lists, numpy scalars as Python numbers,
+    keys as str() and non-finite floats as "nan", "inf" and "-inf".
+    newline is the line break and indent of obj's own level."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+        if math.isfinite(x):
+            out.append(float.__repr__(x))
+        else:
+            out.append('"nan"' if math.isnan(x) else '"inf"' if x > 0 else '"-inf"')
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if not len(items):  # a 0-d array's tolist() is a scalar: TypeError
+            out.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for value in items:
+            out.append(head)
+            _emit(value, out, inner)
+            head = "," + inner
+        out.append(newline + "]")
+    else:
+        if isinstance(obj, dict):
+            obj = {str(k): v for k, v in obj.items()}
+        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key in sorted(obj):
+            out.append(head)
+            out.append(_quote(key))
+            out.append(": ")
+            _emit(obj[key], out, inner)
+            head = "," + inner
+        out.append(newline + "}")
 
 
 def _scenario_echo(doc: dict, scenario: Scenario) -> dict:
@@ -183,7 +216,12 @@ def _scenario_echo(doc: dict, scenario: Scenario) -> dict:
 
 
 def write_report(report: dict, output: Path | None) -> None:
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    """Write the report in one pass over it (see _emit), byte for byte as
+    json.dumps(..., indent=2, sort_keys=True) would, to output or stdout."""
+    out = []
+    _emit(report, out, "\n")
+    out.append("\n")
+    text = "".join(out)
     if output is None:
         sys.stdout.write(text)
         return

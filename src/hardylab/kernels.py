@@ -36,21 +36,30 @@ __all__ = ["KernelSpec", "KernelPlan", "Scenario", "ConditionReport",
            "check_morrey_balance"]
 
 
-def _sobol_points(n: int, count: int, seed: int = 7) -> np.ndarray:
+# The sample tables depend only on (dimension, grid or count, seed), so each
+# is built once per process and shared read-only by every caller.
+
+@functools.lru_cache(maxsize=32)
+def _sobol_points(n: int, count: int, seed: int) -> np.ndarray:
     from scipy.stats import qmc
 
-    pts = qmc.Sobol(d=n, scramble=True, seed=seed).random(count)
-    return np.clip(pts, 1e-9, 1.0 - 1e-9)
+    pts = np.clip(qmc.Sobol(d=n, scramble=True, seed=seed).random(count), 1e-9, 1.0 - 1e-9)
+    pts.flags.writeable = False
+    return pts
 
 
+@functools.lru_cache(maxsize=32)
 def cube_points(n: int, grid: int, seed: int) -> np.ndarray:
     """Deterministic sample of the open cube: the midpoint grid with ``grid``
-    points per axis for n <= 3, else 1024 scrambled Sobol points."""
+    points per axis for n <= 3, else 1024 scrambled Sobol points.  The
+    table is cached and read-only."""
     if n > 3:
         return _sobol_points(n, 1024, seed)
     axis = (np.arange(grid) + 0.5) / grid
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
+    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    pts.flags.writeable = False
+    return pts
 
 
 def _single_axis_monomial(c: ClosedFormClass):
@@ -165,7 +174,7 @@ class KernelSpec:
 
     def validate(self) -> None:
         """Sample the open domain: psi >= 0, dilations finite, beta holds."""
-        pts = _sobol_points(self.n, 1024)
+        pts = _sobol_points(self.n, 1024, 7)
         if self.domain == "positive-orthant":
             dom_pts = pts / (1.0 - pts)
         else:

@@ -238,7 +238,9 @@ def _analytic_tail(fn, tail_exp: float | None, T: float):
     f2 = float(np.asarray(fn(np.array([2.0 * T])))[0])
     if fT == 0.0 and f2 == 0.0:
         return (0.0, 0.0)  # integrand dead beyond T
-    if f2 <= 0.0 or fT <= 0.0:
+    if fT <= 0.0 < f2:
+        return None  # rising off zero: no decay to read
+    if f2 <= 0.0:
         sigma = -2.0
     else:
         sigma = math.log2(f2 / fT)
@@ -358,7 +360,10 @@ def _brackets(masses, moments, p: float, lam: float, capped: bool):
         if status == "divergent":
             return None
         capped |= status == "unreliable"
-        br = mass ** (-(1.0 + lam * p)) * moment
+        try:
+            br = mass ** (-(1.0 + lam * p)) * moment
+        except OverflowError:  # the mass factor passes the floats: a growing sup
+            br = math.inf if moment > 0.0 else 0.0
         brackets.append(br ** (1.0 / p))
         errors.append((err / max(moment, 1e-300)) / p * brackets[-1])
     return brackets, errors, capped

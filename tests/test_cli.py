@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import shutil
 import stat
@@ -6,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hardylab
+from hardylab import cli
 from hardylab.cli import (EXIT_DIVERGENT, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
                           bundled_scenario_dir, load_scenario, main, run,
                           run_suite, write_report)
@@ -258,6 +262,99 @@ def test_report_rewritten_in_place(tmp_path):
     assert out.stat().st_ino == inode
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
     write_report({"short": 1}, Path(os.devnull))  # not a regular file: no truncation
+
+
+def reference_jsonable(obj):
+    """A report in plain JSON types for json.dumps, converted copy by copy:
+    the reference that write_report's one-pass writer must match byte for
+    byte."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return reference_jsonable(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [reference_jsonable(v) for v in obj.tolist()]
+    return obj
+
+
+def reference_text(report) -> str:
+    return json.dumps(reference_jsonable(report), indent=2, sort_keys=True) + "\n"
+
+
+@dataclasses.dataclass
+class Leaf:
+    value: float
+    flags: list
+    extra: dict = dataclasses.field(default_factory=dict)
+
+
+@dataclasses.dataclass(frozen=True)
+class Frozen:
+    name: str
+    pair: tuple
+    leaf: Leaf
+    nothing: object = None
+
+
+REPORT_ZOO = {
+    "frozen": Frozen("caf\u00e9 \u2603", (1.5, (2, "x"), ()),
+                     Leaf(np.float64(0.1), [np.bool_(True), True, False],
+                          {"nested": Leaf(math.nan, [], {})})),
+    "floats": [0.1, 1e-300, 1e300, -0.0, 2.5e-323, math.nan, math.inf, -math.inf,
+               np.float64(math.nan), np.float64(-math.inf), np.float32(0.1), np.float64(7.0)],
+    "ints": [0, -3, 10 ** 30, np.int64(-7), np.int32(5), np.uint8(200)],
+    "bools": [np.bool_(False), False, np.bool_(True), True],
+    "arrays": [np.array([1.0, math.nan, -math.inf]), np.array([1, 2], dtype=np.int64),
+               np.array([True, False]), np.array([]), np.array([[1.0, 2.0], [3.0, 4.0]])],
+    "empty": [{}, [], (), {"": []}],
+    "strings": ["", "tab\tquote\"back\\slash\n", "\x00\x1f\x7f", "\U0001d4b3 \u00fc", "/"],
+    "keys": {1: "one", 2.5: "float", None: "none", False: "bool", (1, 2): "tuple",
+             "10": "ten", "9": "nine", "\u00e9": "accent", "B": 1, "a": 2},
+    "none": None,
+    "tuple": (Leaf(1.0, [()]), [np.float64(2.0), [np.int64(3)]]),
+}
+
+
+def test_report_writer_matches_json_dumps(tmp_path):
+    out = tmp_path / "zoo.json"
+    for report in (REPORT_ZOO, {}, {"a": []}, Frozen("x", (), Leaf(0.5, []))):
+        write_report(report, out)
+        assert out.read_text() == reference_text(report)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", 1j, Path("x"), np.array(1.5)])
+def test_report_writer_rejects_what_json_rejects(tmp_path, value):
+    with pytest.raises(TypeError):
+        reference_text({"x": [value]})
+    with pytest.raises(TypeError):
+        write_report({"x": [value]}, tmp_path / "out.json")
+
+
+def test_bundled_reports_match_json_dumps(tmp_path, monkeypatch):
+    written = []
+
+    def recording_write_report(report, output):
+        written.append((report, output))
+        write_report(report, output)
+
+    monkeypatch.setattr(cli, "write_report", recording_write_report)
+    assert run_suite(SCENARIOS, tmp_path / "suite.json", {"no_timestamp": True}) == EXIT_PASS
+    assert len(written) == len(list(SCENARIOS.glob("*.json"))) + 1
+    for report, output in written:
+        assert Path(output).read_text() == reference_text(report)
 
 
 def test_main_entry_point(tmp_path, capsys):

@@ -142,6 +142,22 @@ def test_zero_input_gives_zero_ratio():
     assert res.value == 0.0
 
 
+def test_operator_norm_of_an_empty_support_is_zero():
+    # s_1 = 0 sends every point to f(0) = 0 for f = r^-0.8 1{r >= 1}
+    k = KernelSpec(m=1, n=1, psi=parse("1", 1), s=(parse("0*t1", 1),))
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,))
+    res = operator_radial_lp_norm(OperatorInstance(s, (power_profile(-0.8, inner_cutoff=1.0),)))
+    assert (res.value, res.status) == (0.0, "finite")
+
+
+def test_operator_norm_with_a_non_decaying_tail_is_divergent():
+    # T f(r) ~ r^-0.2/0.8 for f = r^-0.2 1{r >= 1}: |T f|^2 ~ r^-0.4/0.64 is
+    # not integrable at infinity, which the tail reads from its exponent
+    s = hardy_scenario(p=2.0)
+    res = operator_radial_lp_norm(OperatorInstance(s, (power_profile(-0.2, inner_cutoff=1.0),)))
+    assert (res.value, res.status) == (math.inf, "divergent")
+
+
 def test_morrey_extremal_balanced_two_slots():
     s = diagonal_scenario(p=(4, 4), lam=(-0.125, -0.125))
     rep = morrey_extremal_check(s, tol=1e-6)

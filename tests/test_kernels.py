@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hardylab.expr import parse
-from hardylab.kernels import (KernelSpec, Scenario, check_beta_condition,
-                              check_morrey_balance, check_walpha_condition)
+from hardylab.kernels import (KernelSpec, Scenario, _sobol_points, check_beta_condition,
+                              check_morrey_balance, check_walpha_condition, cube_points)
 from hardylab.weights import Weight, isotropic
 
 from conftest import diagonal_scenario, hardy_scenario
@@ -31,6 +32,33 @@ def test_beta_min_root_map_passes():
     rep = check_beta_condition(k, 0.5)
     assert rep.passed
     assert rep.slack == pytest.approx(0.0, abs=1e-12)
+
+
+def fresh_sobol(n, seed):
+    from scipy.stats import qmc
+
+    return np.clip(qmc.Sobol(d=n, scramble=True, seed=seed).random(1024), 1e-9, 1.0 - 1e-9)
+
+
+def fresh_cube_points(n, grid, seed):
+    """cube_points computed from scratch, with no table shared."""
+    if n > 3:
+        return fresh_sobol(n, seed)
+    axis = (np.arange(grid) + 0.5) / grid
+    return np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=1)
+
+
+@pytest.mark.parametrize("n, grid, seed", [(1, 33, 7), (2, 33, 3), (3, 65, 5), (4, 33, 7)])
+def test_sample_tables_are_shared_and_read_only(n, grid, seed):
+    for table, fresh in ((lambda: cube_points(n, grid=grid, seed=seed),
+                          fresh_cube_points(n, grid, seed)),
+                         (lambda: _sobol_points(n, 1024, 7), fresh_sobol(n, 7))):
+        pts = table()
+        assert table() is pts
+        np.testing.assert_array_equal(pts, fresh)
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
 
 
 def test_kernel_validation_rejects_negative_psi():

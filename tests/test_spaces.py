@@ -135,6 +135,16 @@ def test_morrey_divergent_moment_is_divergent():
     assert (res.status, res.method, res.value) == ("divergent", "radial-quadrature", math.inf)
 
 
+def test_bracket_past_the_floats_is_divergent():
+    # lambda = -50 < -1/p: mass^{-(1 + lambda p)} = mass^99 passes the floats
+    # on the grid's large balls, and the growing supremum is infinite
+    w = isotropic(1, 0.0)
+    for res in (central_morrey_norm(power_profile(-0.6, inner_cutoff=1.0), w, 2.0, -50.0),
+                cmo_norm(RadialFunction(parse("exp(-r)", 0)), w, 2.0, -50.0)):
+        assert (res.status, res.value) == ("divergent", math.inf)
+        assert res.brackets[-1] == math.inf
+
+
 @pytest.mark.parametrize("gamma", [-0.6, -1.5])
 def test_cmo_divergent_integral_is_divergent(gamma):
     # r^-0.6 has finite means but a divergent oscillation |r^-0.6 - m|^2;
@@ -266,6 +276,15 @@ def test_probed_tail_that_dies_within_an_octave():
     assert tail == pytest.approx(math.exp(-2.0) * T, rel=1e-15)
     assert abs(tail - want) <= err
     assert lp_norm(f, isotropic(1, 0.0), 2.0).status == "finite"
+
+
+def test_probed_tail_rising_off_zero_is_divergent():
+    # (r - T + |r - T|)/(2r) is 0 at T = 2^40 and tends to 1 beyond it: the
+    # probe sees no decay, so the infinite norm must not read as a zero tail
+    f = RadialFunction(parse("(r - 2^40 + abs(r - 2^40)) / (2 * r)", 0))
+    assert _analytic_tail(lambda r: f.profile_at(r) ** 2, None, 2.0 ** 40) is None
+    res = lp_norm(f, isotropic(1, 0.0), 2.0)
+    assert (res.status, res.value) == ("divergent", math.inf)
 
 
 def test_lp_norm_probed_flat_tail_is_divergent():

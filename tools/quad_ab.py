@@ -1,29 +1,34 @@
-"""Time the quadrature layer of two checkouts against each other, one fixed
-integral at a time, in one process.
+"""Time the quadrature and CLI layers of two checkouts against each other,
+one fixed call at a time, in one process.
 
     python3 tools/quad_ab.py PARENT CHANGE [--rounds N]
 
 The tool loads each checkout's whole `src/hardylab` package under a package
 name of its own (`hardylab_parent`, `hardylab_change`), so the two import
 only their own modules, with one BLAS thread.  The rows are integrals of
-`quad` alone, and the forced-quadrature constants and quadrature-route
-`apply` calls of the benchmark's cube workload, which also run `expr` and
-the kernel code.  For each row it first checks that both give the
-same `repr` (value, errors, status and cells to the last bit); a mismatch is
-an error.  Then it runs N rounds, alternating which side goes first, and
-times each side on a batch of calls in each round.  It prints each side's
-median µs per call and the median over rounds of the per-round ratio
-CHANGE / PARENT.  Interleaved rounds in one process resolve a few percent,
-which whole benchmark runs on a shared host do not.
+`quad` alone, the forced-quadrature constants and quadrature-route `apply`
+calls of the benchmark's cube workload, which also run `expr` and the
+kernel code, and the CLI layer: a kernel's validation, writing a report,
+and one `norms` run of a Morrey-mode scenario file.  A CLI row returns the
+bytes it wrote, and both sides read the same input file.  For each row it
+first checks that both give the same `repr` (value, errors, status and
+cells to the last bit, or the report's bytes); a mismatch is an error.
+Then it runs N rounds, alternating which side goes first, and times each
+side on a batch of calls in each round.  It prints each side's median µs
+per call and the median over rounds of the per-round ratio CHANGE / PARENT.
+Interleaved rounds in one process resolve a few percent, which whole
+benchmark runs on a shared host do not.
 """
 
 import argparse
 import functools
 import importlib.util
+import json
 import math
 import os
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -32,14 +37,16 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def load_package(checkout: Path, name: str):
-    """checkout's hardylab package, imported as the package `name`: its
-    relative imports resolve to `name.quad`, `name.expr` and so on."""
+    """checkout's hardylab package, imported as the package `name`, with
+    its CLI module: relative imports resolve to `name.quad`, `name.expr`
+    and so on."""
     src = checkout / "src" / "hardylab"
     spec = importlib.util.spec_from_file_location(
         name, src / "__init__.py", submodule_search_locations=[str(src)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package  # dataclasses look their module up by name
     spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")  # the package itself does not import it
     return package
 
 
@@ -67,8 +74,38 @@ def power_instance(h):
     return h.operators.OperatorInstance(cube_scenario(h, 2), inputs)
 
 
-def cases(np):
-    """(name, call) pairs; call(h) runs one row with hardylab package h."""
+@functools.lru_cache(maxsize=None)
+def norms_report(h):
+    """A report shaped like a `norms` one: the Lebesgue and central Morrey
+    norms of a cutoff power, 41 radii and brackets, and the CMO of log|x|."""
+    w = h.weights.isotropic(2, 0.3)
+    f = h.spaces.power_profile(-1.6, inner_cutoff=1.3)
+    return {"tool": "hardylab", "version": h.__version__, "command": "norms",
+            "results": {"norms": [
+                {"input": {"profile": "r^(-1.6)", "inner_cutoff": 1.3},
+                 "lebesgue": h.spaces.lp_norm(f, w, 2.5),
+                 "central_morrey": h.spaces.central_morrey_norm(f, w, 2.5, -0.3)},
+                {"symbol": {"profile": "log(r)"},
+                 "cmo": h.spaces.cmo_norm(h.spaces.log_profile(), w, 2.0)}]},
+            "checks": [], "passed": True, "exit_code": 0}
+
+
+def cases(np, workdir: Path):
+    """(name, call) pairs; call(h) runs one row with hardylab package h.
+    CLI rows write to workdir."""
+    # a Morrey-mode norms file shaped like the suite workload's generated ones
+    scenario = workdir / "norms-morrey.json"
+    scenario.write_text(json.dumps({
+        "meta": {"name": "norms-morrey"},
+        "geometry": {"d": 2},
+        "kernel": {"m": 1, "n": 1, "domain": "unit-cube", "psi": "1", "s": ["t1"]},
+        "weights": [{"degree": 0.3, "kind": "isotropic", "params": {"c": 1.0}}],
+        "exponents": {"p": [2.5], "lambda": [-0.12]},
+        "task": {"command": "norms", "params": {
+            "inputs": [{"profile": "r^(-1.22)", "inner_cutoff": 1.4}],
+            "symbols": [{"profile": "log(r)"}]}},
+    }))
+
     def bumpy(t):
         x = t[:, 0]
         return np.exp(3.0 * x) * np.sin(7.0 * x) + 1.0 / (1.05 - x)
@@ -141,7 +178,20 @@ def cases(np):
             "lebesgue", cube_scenario(h, 3), force_quadrature=True)),
         ("apply n=2", lambda h: h.operators.apply(
             power_instance(h), np.array([1.5, 0.7]), force_quadrature=True)),
+        ("validate n=2", lambda h: cube_scenario(h, 2).kernel.validate()),
+        ("write_report", lambda h: written(
+            h.cli.write_report, norms_report(h), workdir / f"{h.__name__}.json")),
+        ("cli norms", lambda h: written(
+            lambda out: h.cli.run("norms", scenario, out, {"no_timestamp": True}),
+            workdir / f"{h.__name__}.json")),
     ]
+
+
+def written(write, *args) -> bytes:
+    """Call write(*args), whose last argument is a path, and return the
+    bytes that path then holds."""
+    write(*args)
+    return args[-1].read_bytes()
 
 
 def per_call_s(call, h, calls: int) -> float:
@@ -149,6 +199,22 @@ def per_call_s(call, h, calls: int) -> float:
     for _ in range(calls):
         call(h)
     return (time.perf_counter() - start) / calls
+
+
+def time_row(name, call, sides, args) -> None:
+    """Check that both sides give the same result, then time them in
+    alternating rounds and print the row."""
+    got = [repr(call(h)) for h in sides]
+    if got[0] != got[1]:
+        raise SystemExit(f"{name}: results differ\n  parent {got[0]}\n  change {got[1]}")
+    calls = max(1, round(args.seconds / per_call_s(call, sides[0], 3)))
+    times = ([], [])
+    for r in range(args.rounds):
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            times[side].append(per_call_s(call, sides[side], calls))
+    ratio = statistics.median(c / p for p, c in zip(*times))
+    parent, change = (statistics.median(t) * 1e6 for t in times)
+    print(f"{name:<20} {parent:>10.1f} {change:>10.1f} {ratio:>7.3f}")
 
 
 def main(argv=None) -> int:
@@ -165,18 +231,9 @@ def main(argv=None) -> int:
     sides = (load_package(args.parent.resolve(), "hardylab_parent"),
              load_package(args.change.resolve(), "hardylab_change"))
     print(f"{'integral':<20} {'parent µs':>10} {'change µs':>10} {'ratio':>7}")
-    for name, call in cases(np):
-        got = [repr(call(h)) for h in sides]
-        if got[0] != got[1]:
-            raise SystemExit(f"{name}: results differ\n  parent {got[0]}\n  change {got[1]}")
-        calls = max(1, round(args.seconds / per_call_s(call, sides[0], 3)))
-        times = ([], [])
-        for r in range(args.rounds):
-            for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-                times[side].append(per_call_s(call, sides[side], calls))
-        ratio = statistics.median(c / p for p, c in zip(*times))
-        parent, change = (statistics.median(t) * 1e6 for t in times)
-        print(f"{name:<20} {parent:>10.1f} {change:>10.1f} {ratio:>7.3f}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, call in cases(np, Path(workdir)):
+            time_row(name, call, sides, args)
     return 0
 
 
