@@ -36,8 +36,9 @@ __all__ = ["KernelSpec", "KernelPlan", "Scenario", "ConditionReport",
            "check_morrey_balance"]
 
 
-# The sample tables depend only on (dimension, grid or count, seed), so each
-# is built once per process and shared read-only by every caller.
+# A Sobol table depends only on (dimension, count, seed) and a midpoint grid
+# on (dimension, grid), so each is built once per process and shared
+# read-only by every caller.
 
 @functools.lru_cache(maxsize=32)
 def _sobol_points(n: int, count: int, seed: int) -> np.ndarray:
@@ -48,13 +49,17 @@ def _sobol_points(n: int, count: int, seed: int) -> np.ndarray:
     return pts
 
 
-@functools.lru_cache(maxsize=32)
 def cube_points(n: int, grid: int, seed: int) -> np.ndarray:
     """Deterministic sample of the open cube: the midpoint grid with ``grid``
-    points per axis for n <= 3, else 1024 scrambled Sobol points.  The
-    table is cached and read-only."""
+    points per axis for n <= 3, which does not depend on ``seed``, else 1024
+    scrambled Sobol points.  The table is cached and read-only."""
     if n > 3:
         return _sobol_points(n, 1024, seed)
+    return _midpoint_grid(n, grid)
+
+
+@functools.lru_cache(maxsize=32)
+def _midpoint_grid(n: int, grid: int) -> np.ndarray:
     axis = (np.arange(grid) + 0.5) / grid
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)

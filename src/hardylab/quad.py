@@ -343,36 +343,62 @@ def _resolve_hints(hints: SingularityHints, estimate):
 # adaptive tensor Gauss-Kronrod core
 # ---------------------------------------------------------------------------
 
-class TensorPoints(np.ndarray):
-    """The (N, n) points of a call's tensor panels, with the grid they span.
+class TensorPoints(np.lib.mixins.NDArrayOperatorsMixin):
+    """The (N, n) points of a call's tensor panels, given by the grid they
+    span.
 
     ``integrate_unit_cube`` hands its integrand these for n = 2 and 3.
     ``axes[i]`` holds axis i's coordinates of every box, shaped to
     broadcast along axis i + 1 of ``grid`` = (boxes, 15, ..., 15), and the
-    rows are that grid's points in C order.  ``expr.evaluate`` reads the
-    axes and takes each subexpression on only the axes it depends on: it
+    points are that grid's in C order.  ``expr.evaluate`` reads the axes
+    and takes each subexpression on only the axes it depends on: it
     returns the point-by-point values, bit for bit, as an array that
     broadcasts to ``grid``, and an integrand may likewise return such an
-    array in place of the (N,) values.  An array derived from the points carries no axes and is evaluated point
-    by point: a slice reads None for them, and a ufunc's result is a plain
-    ndarray, which spares integrands written for plain arrays the
-    subclass's cost on each operation.
+    array in place of the (N,) values.
+
+    The (N, n) array is built when something first reads it: np.asarray,
+    indexing, a ufunc or operator, or an ndarray method or attribute.
+    ``len``, ``shape`` and ``ndim`` answer from the grid.  What is derived
+    from the points is a plain ndarray that carries no axes, so it is
+    evaluated point by point.
     """
 
-    axes = None
-    grid = None
+    ndim = 2
 
-    def __new__(cls, axes, grid: tuple):
-        points = np.empty(grid + (len(axes),))
-        for i, a in enumerate(axes):
-            points[..., i] = a
-        obj = points.reshape(-1, len(axes)).view(cls)
-        obj.axes = axes
-        obj.grid = grid
-        return obj
+    def __init__(self, axes, grid: tuple):
+        self.axes = axes
+        self.grid = grid
+        self._points = None
 
-    def __array_wrap__(self, arr, context=None, return_scalar=False):
-        return arr[()] if return_scalar else arr
+    @property
+    def shape(self) -> tuple:
+        return (math.prod(self.grid), len(self.axes))
+
+    def __len__(self) -> int:
+        return math.prod(self.grid)
+
+    def __array__(self, dtype=None, copy=None):
+        if self._points is None:
+            points = np.empty(self.grid + (len(self.axes),))
+            for i, a in enumerate(self.axes):
+                points[..., i] = a
+            self._points = points.reshape(-1, len(self.axes))
+        return np.array(self._points, dtype=dtype, copy=copy)
+
+    def __getitem__(self, index):
+        return np.asarray(self)[index]
+
+    def __getattr__(self, name):  # the ndarray's public methods and attributes
+        if name.startswith("_"):  # e.g. on a copy not yet given its fields
+            raise AttributeError(name)
+        return getattr(np.asarray(self), name)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(args):
+            return tuple(np.asarray(a) if isinstance(a, TensorPoints) else a for a in args)
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        return getattr(ufunc, method)(*plain(inputs), **kwargs)
 
 
 class _Panel:
@@ -398,11 +424,18 @@ def _tensor_rule(n: int):
     return np.stack([wk, wg])[:, None, :, None]
 
 
-# the most points one integrand call evaluates, in whole panels but never
-# fewer than one split's two halves.  It bounds the arrays of one call; on
-# the benchmark's cube pool 4096 and 16384 ran within noise of 8192, and
-# each doubling added about 0.4 MB of peak memory.
+# one integrand call evaluates the halves of _BATCH_POINTS // (2 * 15^n)
+# splits, but of no fewer than _MIN_SPLITS: 273 splits at n = 1, 18 at
+# n = 2, and 4 at n = 3, whose panels hold 3375 points (27,000 points).
+# The points bound the arrays of one call.  On the benchmark's cube pool
+# 4096 and 16384 points ran within noise of 8192, each doubling adding
+# about 0.4 MB of peak memory, but n = 3 then made one split per call.
+# The floor lets n = 3 look ahead: the pool's n = 3 constants (seed 1)
+# make 418 calls instead of 1,266 on the same boxes, and a pass of the
+# pool takes x0.91 of the time.  6 and 8 splits took x1.03 and x1.13 of
+# the time of 4, for 0.2 and 0.4 MB more traced peak.
 _BATCH_POINTS = 8192
+_MIN_SPLITS = 4
 
 
 def _panel_nodes(n, boxes):
@@ -449,15 +482,17 @@ def _refine(n, tol, max_cells, seeds):
     refinement scheduling details.
 
     Refinement is greedy, one split at a time: the worst panel is halved
-    along its widest axis.  Only the evaluation is batched.  When the worst
-    panel's halves are not evaluated yet, one request of at most
-    _BATCH_POINTS points asks for them together with the halves of the next
-    worst panels that any converging run must split too (Gladwell's rule:
-    the fewest worst panels whose errors keep the total above tolerance);
-    those are kept until greedy pops their panel.  Results are those of one
-    split per request, provided the integrand is row-wise: a non-finite half
-    raises only when greedy uses it, and a batched request whose evaluation
-    raises is replayed one panel per request.
+    along its widest axis.  Only the evaluation is batched: a request holds
+    the halves of at most splits_per_call splits (see _BATCH_POINTS), or
+    as many start-up panels.  When the worst panel's halves are not
+    evaluated yet, one request asks for them together with the halves of
+    the next worst panels that any converging run must split too
+    (Gladwell's rule: the fewest worst panels whose errors keep the total
+    above tolerance); those are kept until greedy pops their panel.
+    Results are those of one split per request, provided the integrand is
+    row-wise: a non-finite half raises only when greedy uses it, and a
+    batched request whose evaluation raises is replayed one panel per
+    request.
     """
     segments = []
     for ax in range(n):
@@ -472,8 +507,7 @@ def _refine(n, tol, max_cells, seeds):
     value_sum = 0.0
     error_sum = 0.0
     alive: dict[int, _Panel] = {}
-    panels_per_call = max(1, _BATCH_POINTS // 15 ** n)
-    splits_per_call = max(1, panels_per_call // 2)
+    splits_per_call = max(_MIN_SPLITS, _BATCH_POINTS // (2 * 15 ** n))
     look_ahead = splits_per_call > 1
     recheck_at = 0  # len(alive) from which the set must be measured again
 
@@ -554,8 +588,8 @@ def _refine(n, tol, max_cells, seeds):
         lo = tuple(segments[ax][idx[ax]][0] for ax in range(n))
         hi = tuple(segments[ax][idx[ax]][1] for ax in range(n))
         boxes.append((lo, hi))
-    for start in range(0, len(boxes), panels_per_call):
-        chunk = boxes[start:start + panels_per_call]
+    for start in range(0, len(boxes), 2 * splits_per_call):
+        chunk = boxes[start:start + 2 * splits_per_call]
         try:
             results = yield chunk
         except Exception:
@@ -692,7 +726,8 @@ def _divergence_scan(f, n: int) -> bool:
 
     Runs on the original (untransformed) integrand, in the original
     coordinates: the integrals of f over [delta, 1-delta]^n, one per depth,
-    at loose tolerance, as one lockstep family.  A FloatingPointError at the
+    at loose tolerance, as one lockstep family.  For n >= 2 f gets the
+    shifted points as a TensorPoints, as integrate_unit_cube gives them.  A FloatingPointError at the
     first depth whose integral fails means divergent; any other exception
     is raised.
 
@@ -704,10 +739,17 @@ def _divergence_scan(f, n: int) -> bool:
     deltas = [2.0 ** (-depth) for depth in _SCAN_DEPTHS]
     widths = [(1.0 - delta) - delta for delta in deltas]
     scale = np.array([w ** n for w in widths])  # float powers; an array power may round otherwise
-    lo, width = np.array(deltas)[:, None], np.array(widths)[:, None]
+    lo, width = np.array(deltas), np.array(widths)
 
     def G(u, k):
-        return np.asarray(f(lo[k] + width[k] * u), dtype=float) * scale[k]
+        if n == 1:
+            return np.asarray(f(lo[k][:, None] + width[k][:, None] * u), dtype=float) * scale[k]
+        # each box's depth, on the grid: f gets the shifted axes, and its
+        # values are scaled per box
+        k = k[::15 ** n].reshape((-1,) + (1,) * n)
+        t = TensorPoints([lo[k] + width[k] * a for a in u.axes], u.grid)
+        vals = np.asarray(f(t), dtype=float)
+        return (vals.reshape(u.grid) if vals.shape == (len(t),) else vals) * scale[k]
 
     runs = {k: _refine(n, 1e-3, 4000, [[]] * n) for k in range(len(_SCAN_DEPTHS))}
     out = _lockstep(runs, _family_panels(G, n, dict.fromkeys(runs, [_AxisMap(1, 1)] * n)),
@@ -762,14 +804,21 @@ def _hints_for(sing: SingularityHints | None, n: int):
     return hints, declared
 
 
-def _graded(maps, axes, jac):
-    """Grade each axis's coordinates axes[i] in place, and multiply jac by
-    the maps' jacobian at them, an axis at a time; axes[i] broadcasts
-    against jac."""
+def _graded(maps, axes) -> list:
+    """Grade each axis's coordinates axes[i] in place, and return the graded
+    axes' derivatives at them, in axis order: the maps' jacobian is their
+    product (see _jacobian)."""
+    derivatives = []
     for m, u in zip(maps, axes):
         if (m.k0, m.k1) != (1, 1):  # an identity map moves nothing, derivative 1.0
-            jac *= m.derivative(u)
+            derivatives.append(m.derivative(u))
             u[...] = m.forward(u)
+    return derivatives
+
+
+def _jacobian(derivatives):
+    """The product of the derivatives in order, as they broadcast."""
+    return functools.reduce(np.multiply, derivatives)
 
 
 def _conclude(f, n: int, run) -> QuadResult:
@@ -800,9 +849,11 @@ def integrate_unit_cube(
 
     ``f`` maps an (N, n) array of interior points to an (N,) array, and must
     be row-wise: a point's value may not depend on the other rows, because
-    one call mixes the nodes of many panels.  For n = 2 and 3 the points
-    come as a TensorPoints, and ``f`` may return an array that broadcasts
-    to their ``grid`` instead (see TensorPoints).  ``sing``
+    one call mixes the nodes of many panels (at n = 3, up to 8 panels of
+    3375 points; see _BATCH_POINTS).  For n = 2 and 3 the points come as a
+    TensorPoints: read as an array they are the (N, n) points, and ``f``
+    that evaluates them per axis never has that array built and may return
+    an array that broadcasts to their ``grid`` instead.  ``sing``
     carries per-face exponent hints (None entries are probed numerically).
     ``breakpoints`` lists per-axis interior coordinates where the integrand is
     only piecewise smooth; initial panels are split there exactly.
@@ -830,12 +881,13 @@ def _family_panels(f, n: int, maps: dict):
     Members whose axis maps agree are graded together, as one slice of
     boxes, so that each map keeps a scalar exponent (numpy rounds some
     scalar powers, such as squares, differently from the same power with an
-    array exponent).  A call whose members grade no axis has no jacobian to
-    take.
+    array exponent).  The product is taken once f has returned, as the
+    axes broadcast, so it holds no grid-sized array while f runs; a group
+    that grades no axis has none to take.
 
-    For n >= 2 f gets a TensorPoints and may return an array that
-    broadcasts to its grid, which is multiplied by the grid's jacobian, or
-    broadcast to the grid where no member grades."""
+    For n >= 2 f gets a TensorPoints, which builds no (N, n) array unless
+    f reads it, and may return an array that broadcasts to its grid.  A
+    one-member call gets its owners as a zero-stride view."""
     groups: dict[tuple, int] = {}  # the maps' exponents -> their group
     group_of, graded = {}, set()
     for k, ms in maps.items():
@@ -853,23 +905,38 @@ def _family_panels(f, n: int, maps: dict):
         axes = nodes if n == 1 else [a.reshape((-1,) + (1,) * i + (15,) + (1,) * (n - 1 - i))
                                      for i, a in enumerate(nodes)]
         grid = (len(boxes),) + (15,) * n
-        jac = None
+        parts = []  # (start, end, graded axes' derivatives) of each group's boxes
         if not graded.isdisjoint(asks):
-            jac = np.ones(grid)
             start = end = 0
             for i, k in enumerate(owners):  # a group's boxes at a time
                 end += len(asks[k])
                 if i + 1 == len(owners) or group_of[owners[i + 1]] != group_of[k]:
-                    _graded(maps[k], [a[start:end] for a in axes], jac[start:end])
+                    parts.append((start, end, _graded(maps[k], [a[start:end] for a in axes])))
                     start = end
         # in 1-D the nodes already are the points, and each is its own axis
         t = nodes.reshape(-1, 1) if n == 1 else TensorPoints(axes, grid)
-        rows = [len(asks[k]) * 15 ** n for k in owners]
-        vals = np.asarray(f(t, np.array(owners).repeat(rows)), dtype=float)
-        if vals.shape != (len(t),):  # evaluated per axis: it broadcasts to the grid
-            vals = vals * jac if jac is not None else np.broadcast_to(vals, grid)
-        elif jac is not None:
-            vals = vals * jac.reshape(-1)
+        if len(owners) == 1:  # every point has the one owner: a zero-stride view
+            owner = np.ndarray(len(t), int, np.array(owners), strides=(0,))
+            owner.flags.writeable = False
+        else:
+            owner = np.array(owners).repeat([len(asks[k]) * 15 ** n for k in owners])
+        vals = np.asarray(f(t, owner), dtype=float)
+        if vals.shape == (len(t),):
+            vals = vals.reshape(grid)
+        if len(parts) == 1:  # one group, and it grades: into its new jacobian if that fits
+            jac = _jacobian(parts[0][2])
+            vals = np.multiply(vals, jac, out=jac if jac.shape == grid else None)
+        if vals.shape != grid:  # evaluated per axis: it broadcasts to the grid
+            vals = np.broadcast_to(vals, grid)
+        if len(parts) > 1:  # the values times each group's jacobian
+            graded_vals = np.empty(grid)
+            for start, end, derivatives in parts:
+                if derivatives:
+                    np.multiply(vals[start:end], _jacobian(derivatives),
+                                out=graded_vals[start:end])
+                else:
+                    graded_vals[start:end] = vals[start:end]
+            vals = graded_vals
         sums = _panel_sums(n, vals.reshape(len(boxes), -1), vols)
         out = {}
         start = 0
@@ -947,9 +1014,9 @@ def _qmc_estimate(f, maps, n: int, tol: float, seed: int) -> QuadResult:
         sob = qmc.Sobol(d=n, scramble=True, seed=seed * 1009 + k)
         pts = sob.random(npts)
         pts = np.clip(pts, 1e-12, 1.0 - 1e-12)
-        jac = np.ones(npts)
-        _graded(maps, pts.T, jac)
-        means.append(float(np.mean(np.asarray(f(pts), dtype=float) * jac)))
+        derivatives = _graded(maps, pts.T)
+        vals = np.asarray(f(pts), dtype=float)
+        means.append(float(np.mean(vals * _jacobian(derivatives) if derivatives else vals)))
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(replicates))
     err = 3.0 * stderr

@@ -202,7 +202,7 @@ def test_per_axis_evaluation_raises_the_flat_domain_error(n, text):
 def test_points_derived_from_tensor_points_are_evaluated_point_by_point():
     t = _tensor_points(2)
     e = parse("t1 * t2^0.5", 2)
-    shifted = 0.25 + 0.5 * t  # as the divergence scan shifts its points
+    shifted = 0.25 + 0.5 * t  # as an integrand may shift its points
     assert evaluate(e, t=shifted).shape == (len(t),)
     assert np.array_equal(evaluate(e, t=shifted), evaluate(e, t=np.asarray(shifted)))
     # with r bound the flat path runs, too

@@ -61,6 +61,13 @@ def test_sample_tables_are_shared_and_read_only(n, grid, seed):
             pts[0, 0] = 0.5
 
 
+def test_midpoint_grids_are_shared_across_seeds():
+    # the harness's start-up sample (seed 3) and the beta check (seed 7)
+    assert cube_points(3, grid=33, seed=3) is cube_points(3, grid=33, seed=7)
+    assert cube_points(3, grid=33, seed=3) is not cube_points(3, grid=65, seed=3)
+    assert not np.array_equal(cube_points(4, grid=33, seed=3), cube_points(4, grid=33, seed=7))
+
+
 def test_kernel_validation_rejects_negative_psi():
     k = KernelSpec(m=1, n=1, psi=parse("t1 - 0.5", 1), s=(parse("t1", 1),))
     with pytest.raises(ValueError):

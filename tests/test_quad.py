@@ -317,9 +317,11 @@ def test_probe_fallback_reads_the_same_dict_as_one_call(n):
 # ---------------------------------------------------------------------------
 
 def _one_split_per_call(monkeypatch):
-    # a budget below two panels: each call evaluates one panel at start-up
-    # and then the two halves of the panel greedy splits, and no others
+    # a budget of one split, at any n: each call evaluates two panels at
+    # start-up and then the two halves of the panel greedy splits, and no
+    # others
     monkeypatch.setattr(quad, "_BATCH_POINTS", 1)
+    monkeypatch.setattr(quad, "_MIN_SPLITS", 1)
 
 
 def _bare_run(f, n, tol, max_cells, seeds):
@@ -381,8 +383,21 @@ def _bumpy(t):
     # divergence scans, three depths in lockstep
     lambda: quad._divergence_scan(lambda t: 1.0 / t[:, 0], 1),
     lambda: quad._divergence_scan(lambda t: (t[:, 0] * t[:, 1]) ** -0.9, 2),
+    # n = 3 with graded faces
+    lambda: integrate_unit_cube(
+        lambda t: t[:, 0] ** -0.6 * t[:, 1] ** -0.3 * t[:, 2] ** -0.45
+        * (1.0 + t[:, 0] * t[:, 1] * t[:, 2]),
+        3, sing=SingularityHints(zero=(-0.6, -0.3, -0.45), one=(0.0, 0.0, 0.0))),
+    # n = 3 capped at 300 cells, then its divergence scan
+    lambda: integrate_unit_cube(_sin40, 3, sing=SingularityHints.regular(3), tol=1e-12,
+                                max_cells=300),
+    # n = 3, a batched request raises: replayed one split per call from there
+    lambda: _bare_run(_poisoned(_SPECULATIVE_POINT_N3, True, _sin40)[0], 3, 1e-14, 11,
+                      [[]] * 3),
+    lambda: quad._divergence_scan(lambda t: (t[:, 0] + t[:, 1] + t[:, 2]) ** -3.0, 3),
 ], ids=["n1-breakpoints", "n2-graded", "n3-probed", "n1-capped8", "n2-capped8",
-        "n1-capped300", "scan-n1", "scan-n2"])
+        "n1-capped300", "scan-n1", "scan-n2", "n3-graded", "n3-capped300", "n3-replay",
+        "scan-n3"])
 def test_batched_core_is_bit_identical_to_one_split_per_call(monkeypatch, run):
     batched, single = _core_results(monkeypatch, run)
     assert batched[1]  # the adaptive core ran
@@ -575,6 +590,28 @@ def test_family_panels_take_per_axis_values_as_the_flat_ones(n, graded):
     assert repr(half) == repr(flat)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_per_axis_integrands_never_build_the_point_array(monkeypatch, n):
+    from hardylab.expr import evaluate, parse
+
+    e = parse(f"t1^(-0.3) * exp(-t1) * (1 + t{n})^0.5", n)
+    maps = {0: [quad._AxisMap(7, 1)] + [quad._AxisMap(1, 1)] * (n - 1)}
+    asks = {0: [((0.0,) * n, (0.5,) * n), ((0.25,) * n, (1.0,) * n)]}
+    want, _, _ = _family_call(lambda t, k: evaluate(e, t=np.asarray(t)), n, maps, asks)
+
+    def unbuilt(self, dtype=None, copy=None):
+        raise AssertionError("the (N, n) point array was built")
+
+    monkeypatch.setattr(quad.TensorPoints, "__array__", unbuilt)
+    got, t, owner = _family_call(lambda t, k: evaluate(e, t=t), n, maps, asks)
+    assert repr(got) == repr(want)
+    # what a tracer reads, without building the array
+    assert len(t) == t.shape[0] == 2 * 15 ** n and t.shape[1] == n and t.ndim == 2
+    # a one-member call's owners are a read-only zero-stride view
+    assert owner.strides == (0,) and len(owner) == len(t) and owner[0] == 0
+    assert not owner.flags.writeable
+
+
 def _panel_sums_by_row(n, vals, vols):
     """The reference for quad._panel_sums: one np.dot per row, in Python
     floats."""
@@ -624,24 +661,34 @@ def test_halves_split_the_first_widest_axis():
     assert quad._halves(tall) == [((0.0, 0.0), (0.25, 0.25)), ((0.0, 0.25), (0.25, 0.5))]
 
 
-def _poisoned(bad_x, raise_error):
-    """_bumpy with NaN (or a DomainError) at the one point bad_x."""
+def _poisoned(bad, raise_error, f=_bumpy):
+    """f with NaN (or a DomainError) at the one point bad."""
     hits = []
 
-    def f(t):
-        bad = t[:, 0] == bad_x
-        if bad.any():
+    def poisoned(t):
+        hit = (t == np.array(bad)).all(axis=1)
+        if hit.any():
             hits.append(len(t))
             if raise_error:
                 raise DomainError("poisoned point")
-        return np.where(bad, np.nan, _bumpy(t))
-    return f, hits
+        return np.where(hit, np.nan, f(t))
+    return poisoned, hits
 
 
 # Greedy's first 7 splits under max_cells = 8 leave [0.75, 0.875] whole; its
 # 8th splits it.  27/32 is the middle node of its right half, and no node of
 # a panel greedy uses before then.
 _SPECULATIVE_NODE = 0.84375
+
+
+def _sin40(t):
+    return np.sin(40.0 * t[:, 0] * t[:, 1] * t[:, 2])
+
+
+# Under max_cells = 11, a batched request of _sin40 holds the halves of a
+# panel greedy never splits; this is the centre of one of them, a node of
+# no other box.
+_SPECULATIVE_POINT_N3 = (0.625, 0.75, 0.75)
 
 
 @pytest.mark.parametrize("raise_error", [False, True], ids=["nan", "domain-error"])
@@ -655,6 +702,17 @@ def test_speculative_halves_never_change_a_capped_result(monkeypatch, raise_erro
     assert not hits
     assert repr(batched) == repr(single)
     assert batched[2:4] == (8, "max-cells-reached")
+
+
+def test_a_raising_batched_request_is_replayed_at_n3(monkeypatch):
+    f, hits = _poisoned(_SPECULATIVE_POINT_N3, True, _sin40)
+    batched = _bare_run(f, 3, 1e-14, 11, [[]] * 3)
+    assert hits  # the request that held the point raised
+    _one_split_per_call(monkeypatch)
+    hits.clear()
+    assert repr(_bare_run(f, 3, 1e-14, 11, [[]] * 3)) == repr(batched)
+    assert not hits
+    assert batched[2:4] == (11, "max-cells-reached")
 
 
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "one-split"])

@@ -17,7 +17,10 @@ Then it runs N rounds, alternating which side goes first, and times each
 side on a batch of calls in each round.  It prints each side's median µs
 per call and the median over rounds of the per-round ratio CHANGE / PARENT.
 Interleaved rounds in one process resolve a few percent, which whole
-benchmark runs on a shared host do not.
+benchmark runs on a shared host do not.  Next to the times it prints each
+side's peak traced allocation of one call (`tracemalloc`, in KB, traced
+apart from the timed rounds), so that a change in batch sizes shows its
+memory cost.
 """
 
 import argparse
@@ -30,6 +33,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -201,6 +205,17 @@ def per_call_s(call, h, calls: int) -> float:
     return (time.perf_counter() - start) / calls
 
 
+def peak_kb(call, h) -> float:
+    """The peak of the memory that one call allocates, in KB, as
+    tracemalloc traces it."""
+    tracemalloc.start()
+    try:
+        call(h)
+        return tracemalloc.get_traced_memory()[1] / 1024.0
+    finally:
+        tracemalloc.stop()
+
+
 def time_row(name, call, sides, args) -> None:
     """Check that both sides give the same result, then time them in
     alternating rounds and print the row."""
@@ -214,7 +229,8 @@ def time_row(name, call, sides, args) -> None:
             times[side].append(per_call_s(call, sides[side], calls))
     ratio = statistics.median(c / p for p, c in zip(*times))
     parent, change = (statistics.median(t) * 1e6 for t in times)
-    print(f"{name:<20} {parent:>10.1f} {change:>10.1f} {ratio:>7.3f}")
+    kb = [peak_kb(call, h) for h in sides]
+    print(f"{name:<20} {parent:>10.1f} {change:>10.1f} {ratio:>7.3f} {kb[0]:>10.1f} {kb[1]:>10.1f}")
 
 
 def main(argv=None) -> int:
@@ -230,7 +246,8 @@ def main(argv=None) -> int:
 
     sides = (load_package(args.parent.resolve(), "hardylab_parent"),
              load_package(args.change.resolve(), "hardylab_change"))
-    print(f"{'integral':<20} {'parent µs':>10} {'change µs':>10} {'ratio':>7}")
+    print(f"{'integral':<20} {'parent µs':>10} {'change µs':>10} {'ratio':>7}"
+          f" {'parent KB':>10} {'change KB':>10}")
     with tempfile.TemporaryDirectory() as workdir:
         for name, call in cases(np, Path(workdir)):
             time_row(name, call, sides, args)
