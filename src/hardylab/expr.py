@@ -545,8 +545,12 @@ def _as_riesz(e: Expr, n: int):
 def classify(e: Expr, n: int) -> ClosedFormClass:
     """Classify ``e`` into the most specific closed-form family.
 
-    'general' is always a sound answer; the sharper tags are only returned
-    when re-evaluating the classified form reproduces the original Expr.
+    'general' is always a sound answer.  A sharper tag comes from a
+    structural match of the tree (coeff times powers of the t_i, of
+    log(1/t_i) and of r, or coeff times a power of norm1m(1 - t_1, ...,
+    1 - t_k)), and is only as sound as that matcher: nothing is evaluated
+    here.  eval_classified evaluates the classified form, so that tests
+    can check it against the Expr point by point.
     """
     sub = _as_power_product(e, n)
     if sub is not None:

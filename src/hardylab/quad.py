@@ -278,39 +278,30 @@ def _face_exponent(vals: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(v).all(axis=(1, 2)), np.where(count > 0, median, 0.0), -2.0)
 
 
-def _anchor_values(f, k, block):
-    """Member k's probe values of one face, a call of f per anchor, in
-    anchor order.  The first anchor that raises, or gives a non-finite
-    value, settles the face at -2.0, so no call follows it; the rows it and
-    the anchors after it leave unevaluated read NaN."""
-    vals = np.full(block.shape[:2], np.nan)
-    for a, pts in enumerate(block):
-        try:
-            with np.errstate(all="ignore"):
-                vals[a] = np.asarray(f(pts, np.full(len(pts), k)), dtype=float)
-        except Exception:
-            break
-        if not np.all(np.isfinite(vals[a])):
-            break
-    return vals
-
-
 def _probe_family(f, n: int, faces):
     """Probe the (member, axis, face) faces of a family f(t, k); returns
     {face: exponent estimate}.  One call of f evaluates every face's probe
     points, and one fit (_face_exponent) reads every face's estimate from
-    them.  If the call raises, each face is evaluated again an anchor per
-    call (see _anchor_values), so that an anchor that raises costs only its
-    own face, and the same fit reads the rows."""
+    them.  If the call raises, each anchor is evaluated alone (see _alone),
+    face by face in anchor order, so that an anchor that raises costs only
+    its own face.  A face's first anchor that raises, or gives a non-finite
+    value, settles it at -2.0, so no call follows it; the rows it leaves
+    unevaluated read NaN."""
     if not faces:
         return {}
     pts = _probe_points(n, faces)
     owner = np.repeat([k for k, _, _ in faces], pts[0].size // n)
-    try:
-        with np.errstate(all="ignore"):
-            vals = np.asarray(f(pts.reshape(-1, n), owner), dtype=float).reshape(pts.shape[:3])
-    except Exception:
-        vals = np.stack([_anchor_values(f, k, block) for (k, _, _), block in zip(faces, pts)])
+    with np.errstate(all="ignore"):
+        vals = _alone(lambda: np.asarray(f(pts.reshape(-1, n), owner),
+                                         dtype=float).reshape(pts.shape[:3]))
+        if isinstance(vals, Exception):
+            vals = np.full(pts.shape[:3], np.nan)
+            for (k, _, _), block, rows in zip(faces, pts, vals):
+                for anchor, row in zip(block, rows):
+                    raised = _alone(lambda: np.copyto(row, np.asarray(
+                        f(anchor, np.full(len(anchor), k)), dtype=float)))
+                    if raised is not None or not np.isfinite(row).all():
+                        break
     return dict(zip(faces, _face_exponent(vals).tolist()))
 
 
@@ -474,8 +465,9 @@ def _halves(p: _Panel):
 def _refine(n, tol, max_cells, seeds):
     """Adaptive refinement over [0,1]^n with O(1) running totals, as a
     generator: it yields the (lo, hi) boxes it needs evaluated and is sent
-    their _panel_sums, or thrown the exception evaluating them raised.  It
-    returns (total, err, cells, status, history).
+    each box's _panel_sums, or the exception evaluating the box alone
+    raised (see _lockstep).  It returns (total, err, cells, status,
+    history).
 
     The panel list keeps deterministic keys so the final total is recomputed
     with compensated summation in key order, making the result independent of
@@ -490,9 +482,8 @@ def _refine(n, tol, max_cells, seeds):
     (Gladwell's rule: the fewest worst panels whose errors keep the total
     above tolerance); those are kept until greedy pops their panel.
     Results are those of one split per request, provided the integrand is
-    row-wise: a non-finite half raises only when greedy uses it, and a
-    batched request whose evaluation raises is replayed one panel per
-    request.
+    row-wise: a half that is non-finite, or whose evaluation raised,
+    raises only when greedy uses it.
     """
     segments = []
     for ax in range(n):
@@ -515,6 +506,8 @@ def _refine(n, tol, max_cells, seeds):
         nonlocal counter, value_sum, error_sum
         if res is None:
             raise FloatingPointError("non-finite integrand value inside a panel")
+        if isinstance(res, Exception):
+            raise res  # _lockstep drops its traceback, and with it these frames
         v, e = res
         alive[counter] = _Panel(box[0], box[1], v, e)
         entry = (-e, counter)
@@ -523,17 +516,6 @@ def _refine(n, tol, max_cells, seeds):
         value_sum += v
         error_sum += e
         counter += 1
-
-    def one_per_call(boxes):
-        # the unbatched order, in which the integrand's exceptions and
-        # non-finite panels surface: no box is requested after one that push
-        # will refuse
-        out = []
-        for box in boxes:
-            out += yield [box]
-            if out[-1] is None:
-                break
-        return out
 
     def must_split():
         """Pop from `fresh` the worst panel and the next worst panels of the
@@ -590,11 +572,7 @@ def _refine(n, tol, max_cells, seeds):
         boxes.append((lo, hi))
     for start in range(0, len(boxes), 2 * splits_per_call):
         chunk = boxes[start:start + 2 * splits_per_call]
-        try:
-            results = yield chunk
-        except Exception:
-            results = yield from one_per_call(chunk)  # re-raises where it would have
-        for box, res in zip(chunk, results):
+        for box, res in zip(chunk, (yield chunk)):
             push(box, res)
 
     history: list[tuple[int, float]] = []
@@ -613,16 +591,7 @@ def _refine(n, tol, max_cells, seeds):
         if key not in kids:
             group = must_split()  # the worst panel first: it is this key
             halves = [_halves(alive[k]) for k in group]
-            try:
-                results = yield [box for pair in halves for box in pair]
-            except Exception:
-                # a batched request raised: ask for the worst panel's halves
-                # as one split per call would, and no speculative ones from now on
-                look_ahead = False
-                for k in group[1:]:
-                    heapq.heappush(fresh, (-alive[k].error, k))
-                group, halves = [key], halves[:1]
-                results = yield from one_per_call(halves[0])
+            results = yield [box for pair in halves for box in pair]
             for i, k in enumerate(group):
                 kids[k] = list(zip(halves[i], results[2 * i:2 * i + 2]))
                 kids_error += alive[k].error
@@ -652,6 +621,14 @@ def _kept(exc: Exception) -> Exception:
     return exc
 
 
+def _alone(call):
+    """call(), or the exception it raised, kept (see _kept)."""
+    try:
+        return call()
+    except Exception as exc:
+        return _kept(exc)
+
+
 # the most integrand points the live runs of a lockstep family may hold: the
 # boxes each has had evaluated plus those it asks for.  A run past it, in
 # member order, waits for the runs before it to finish (the first live run
@@ -666,10 +643,12 @@ def _lockstep(runs: dict, evaluate, budget: int) -> dict:
     """Drive refinement runs (see _refine), keyed by member, together: each
     round makes one call evaluate({member: boxes}) -> {member: sums} for the
     requests of the live runs, in member order, whose evaluated and
-    requested boxes fit in budget.  If that call raises, each request is
-    evaluated by a call of its own, evaluate({member: boxes}), so that a run
-    sees only the exceptions it would see by itself.  Returns {member: the
-    run's result, or the exception it raised}.  A run that raises ends the
+    requested boxes fit in budget.  If that call raises, each box of it is
+    evaluated by a call of its own, evaluate({member: [box]}), and a box
+    whose call raises is sent that exception in place of its sums (see
+    _alone), so that a run sees only the exceptions it would see by itself,
+    and only where greedy uses the box.  Returns {member: the run's result,
+    or the exception it raised}.  A run that raises ends the
     runs of the members after it, which a loop over the members would not
     reach.  This is the only loop that runs _refine: a single integral is
     a family of one.  evaluate runs under np.errstate(all="ignore"), which
@@ -681,10 +660,8 @@ def _lockstep(runs: dict, evaluate, budget: int) -> dict:
     with np.errstate(all="ignore"):
         while True:
             for k in todo:  # in member order
-                res = results[k]
                 try:
-                    asks[k] = (runs[k].throw(res) if isinstance(res, Exception)
-                               else runs[k].send(res))
+                    asks[k] = runs[k].send(results[k])
                 except StopIteration as done:
                     out[k] = done.value
                 except Exception as exc:  # the member's own outcome
@@ -702,16 +679,10 @@ def _lockstep(runs: dict, evaluate, budget: int) -> dict:
                     break  # this run and the later ones wait
                 todo[k] = asks.pop(k)
                 held[k] += len(todo[k])
-            try:
-                results = evaluate(todo)
-            except Exception as exc:
-                results = dict.fromkeys(todo, _kept(exc))
-                if len(todo) > 1:
-                    for k, boxes in todo.items():
-                        try:
-                            results[k] = evaluate({k: boxes})[k]
-                        except Exception as own:
-                            results[k] = _kept(own)
+            results = _alone(lambda: evaluate(todo))
+            if isinstance(results, Exception):
+                results = {k: [_alone(lambda: evaluate({k: [box]})[k][0]) for box in boxes]
+                           for k, boxes in todo.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -992,10 +963,7 @@ def _integrate_family(f, n: int, members: list, tol: float, member, seed: int = 
         elif isinstance(runs[k], Exception):
             res = runs[k]
         else:
-            try:
-                res = _conclude(member(k), n, runs[k])
-            except Exception as exc:
-                res = _kept(exc)
+            res = _alone(lambda: _conclude(member(k), n, runs[k]))
         out.append(res)
         if isinstance(res, Exception) or res.divergent:
             break

@@ -63,6 +63,30 @@ def test_capped_operator_norm_makes_sweep_point_unreliable(monkeypatch):
     assert not rep.passed
 
 
+def test_divergent_operator_norms_make_sweep_points_divergent(monkeypatch):
+    # the first point's norm raises ArithmeticError, the second's diverges,
+    # and the third is computed
+    real = harness.operator_radial_lp_norm
+    outcomes = iter([ArithmeticError("overflow"), spaces.NormResult(
+        math.inf, "radial-quadrature", math.inf, "divergent")])
+
+    def failing(inst, *args, **kwargs):
+        res = next(outcomes, None)
+        if isinstance(res, ArithmeticError):
+            raise res
+        return res if res is not None else real(inst, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "operator_radial_lp_norm", failing)
+    rep = sharpness_sweep(hardy_scenario(p=2.0), eps_grid=(0.1, 0.05, 0.03))
+    assert [pt.eps for pt in rep.points] == [0.1, 0.05, 0.03]
+    assert [pt.status for pt in rep.points] == ["divergent", "divergent", "ok"]
+    for pt in rep.points[:2]:
+        assert math.isnan(pt.ratio) and math.isnan(pt.operator_norm)
+        assert math.isfinite(pt.witness_norm_product)
+    assert rep.points[2].ratio == pytest.approx(hardy_ratio_oracle(0.03), rel=1e-5)
+    assert not rep.passed
+
+
 def test_sharpness_sweep_zero_density_trivial():
     k = KernelSpec(m=1, n=1, psi=parse("0", 1), s=(parse("t1", 1),), beta=1.0)
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,))

@@ -391,7 +391,7 @@ def _bumpy(t):
     # n = 3 capped at 300 cells, then its divergence scan
     lambda: integrate_unit_cube(_sin40, 3, sing=SingularityHints.regular(3), tol=1e-12,
                                 max_cells=300),
-    # n = 3, a batched request raises: replayed one split per call from there
+    # n = 3, a batched request raises: its boxes are evaluated one a call
     lambda: _bare_run(_poisoned(_SPECULATIVE_POINT_N3, True, _sin40)[0], 3, 1e-14, 11,
                       [[]] * 3),
     lambda: quad._divergence_scan(lambda t: (t[:, 0] + t[:, 1] + t[:, 2]) ** -3.0, 3),
@@ -715,6 +715,58 @@ def test_a_raising_batched_request_is_replayed_at_n3(monkeypatch):
     assert batched[2:4] == (11, "max-cells-reached")
 
 
+def _sin300(t):
+    return np.sin(300.0 * t[:, 0] * t[:, 1]) + (t[:, 0] + t[:, 1]) ** 0.5
+
+
+# Under tol 1e-13 and max_cells = 1500, a batched request of _sin300 holds
+# the halves of a panel greedy never splits; this is the centre of one of
+# them, a node of no other box.
+_SPECULATIVE_POINT_N2 = (0.390625, 0.953125)
+
+
+def _long_n2_run(f):
+    return integrate_unit_cube(f, 2, sing=SingularityHints.regular(2), tol=1e-13,
+                               max_cells=1500)
+
+
+def _counted(f):
+    """f, and the list of the row counts of its calls."""
+    rows = []
+
+    def counting(t):
+        rows.append(len(t))
+        return f(t)
+    return counting, rows
+
+
+def test_a_raising_request_costs_one_call_per_box_and_nothing_after(monkeypatch):
+    # the request that holds the point raises: each of its boxes is then
+    # evaluated alone, only the poisoned one raises, and greedy never uses
+    # it, so the run goes on looking ahead with the calls of the clean run
+    clean, clean_rows = _counted(_sin300)
+    f, hits = _poisoned(_SPECULATIVE_POINT_N2, True, _sin300)
+    poisoned, rows = _counted(f)
+    want = _long_n2_run(clean)
+    assert repr(_long_n2_run(poisoned)) == repr(want)
+    assert want.status == "max-cells-reached"
+    raising, *alone = hits
+    boxes = raising // 15 ** 2
+    assert boxes > 1 and alone == [15 ** 2]  # the batch, then its poisoned box alone
+    assert len(rows) <= len(clean_rows) + boxes + 1
+    _one_split_per_call(monkeypatch)  # greedy never reaches the point
+    hits.clear()
+    assert repr(_long_n2_run(f)) == repr(want)
+    assert not hits
+
+
+def test_a_capped_run_whose_scan_diverges_reads_divergent():
+    res = integrate_unit_cube(lambda t: 1.0 / t[:, 0], 1, sing=SingularityHints.regular(1),
+                              max_cells=300)
+    assert res.divergent
+    assert res.cells_used == 300
+
+
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "one-split"])
 def test_poison_greedy_reaches_keeps_its_outcome(monkeypatch, batched):
     if not batched:
@@ -741,12 +793,20 @@ def _scan_raises(t):
 def test_raising_integrals_leave_no_reference_cycles():
     # an exception kept as a run's outcome is raised again with a new
     # traceback; if a frame of that traceback still held it, the frames and
-    # the panels they hold would wait for the garbage collector
+    # the panels they hold would wait for the garbage collector.  The
+    # exceptions of boxes greedy never uses are kept with a run's evaluated
+    # halves until the run ends.
     poisoned, _ = _poisoned(_SPECULATIVE_NODE, raise_error=True)
+    poisoned_n2, _ = _poisoned(_SPECULATIVE_POINT_N2, True, _sin300)
+    poisoned_n3, _ = _poisoned(_SPECULATIVE_POINT_N3, True, _sin40)
     integrals = [
         lambda: integrate_unit_cube(poisoned, 1, sing=SingularityHints.regular(1),
                                     tol=1e-14, max_cells=9),  # raises where greedy reaches
         lambda: integrate_unit_cube(_scan_raises, 1),
+    ]
+    unraised = [  # a request raises, at a box greedy never uses
+        lambda: _long_n2_run(poisoned_n2),
+        lambda: _bare_run(poisoned_n3, 3, 1e-14, 11, [[]] * 3),
     ]
     raised = 0
     gc.collect()
@@ -758,10 +818,28 @@ def test_raising_integrals_leave_no_reference_cycles():
                     run()
                 except DomainError:
                     raised += 1
+        for run in unraised:
+            run()
         assert gc.collect() == 0
     finally:
         gc.enable()
     assert raised == 50
+
+
+def test_an_exception_kept_past_its_frames_holds_none_of_them():
+    # one cell, then the divergence scan raises in _conclude: the exception
+    # is kept after the frames it was raised through have returned, and
+    # would close a cycle through them if it kept its traceback
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                integrate_unit_cube(_scan_raises, 1, sing=SingularityHints.regular(1),
+                                    max_cells=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _scan_depth_alone(f, n, delta):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardylab import quad
-from hardylab.expr import parse
+from hardylab.expr import DomainError, parse
 from hardylab.quad import integrate_interval
 from hardylab.spaces import (RadialFunction, RadiusGridError, _analytic_tail,
                              _cap_fraction, _radial_integrals, _sup_over_grid,
@@ -410,6 +410,17 @@ def test_capped_radial_quadrature_is_unreliable(monkeypatch):
     assert cmo_norm(_GRID_LOG, w, 2.0).status == "unreliable"
     # closed-form oscillation moments: no quadrature, so no cell cap
     assert cmo_norm(log_profile(), w, 2.0).status == "finite"
+
+
+def test_cmo_norm_raises_a_mean_that_raised_after_the_oscillations():
+    # log(3 - r) raises for r >= 3: the mean of the first radius past 3
+    # raises, and the oscillations of the radii before it are finite
+    w = isotropic(1, 0.0)
+    with pytest.raises(DomainError):
+        cmo_norm(RadialFunction(parse("log(3 - r)", 0)), w, 2.0)
+    # with r^-0.8 the oscillation of a radius before it diverges first
+    res = cmo_norm(RadialFunction(parse("pow(r, -0.8) * log(3 - r)", 0)), w, 2.0)
+    assert res.status == "divergent"
 
 
 # d + alpha = 0.6, 1, 2.3 and 4

@@ -121,6 +121,18 @@ def cases(np, workdir: Path):
             raise ValueError("refused anchor")
         return (t[:, 0] * t[:, 1]) ** -0.25 * (1.0 + t[:, 0])
 
+    def refused_node(f, node):
+        # f, raising at one node of a box greedy never splits: the request
+        # that holds it raises, and its boxes are evaluated one a call
+        def refused(t):
+            if (np.asarray(t) == np.array(node)).all(axis=1).any():
+                raise ValueError("refused node")
+            return f(t)
+        return refused
+
+    def sin300(t):
+        return np.sin(300.0 * t[:, 0] * t[:, 1]) + (t[:, 0] + t[:, 1]) ** 0.5
+
     # the oscillation grid of a log|x| CMO norm (d + alpha = 2.3, q = 2):
     # per radius R = 2^j, |j| <= 20, the integral of |log r - m_j|^2 r^1.3
     # over (0, min(R, 1)), and for R > 1 over (0, j) in r = 2^x, with the
@@ -170,7 +182,17 @@ def cases(np, workdir: Path):
         # capped at 8 cells, then a divergence scan
         ("capped 8 cells", lambda h: h.quad.integrate_unit_cube(
             bumpy, 1, sing=h.quad.SingularityHints.regular(1), tol=1e-14, max_cells=8)),
+        ("replay n=1", lambda h: h.quad.integrate_unit_cube(
+            refused_node(bumpy, 0.84375), 1, sing=h.quad.SingularityHints.regular(1),
+            tol=1e-14, max_cells=8)),
+        ("replay n=2 long", lambda h: h.quad.integrate_unit_cube(
+            refused_node(sin300, (0.390625, 0.953125)), 2,
+            sing=h.quad.SingularityHints.regular(2), tol=1e-13, max_cells=1500)),
         ("log-CMO grid", lambda h: h.quad.integrate_intervals(oscillation, members)),
+        # an oscillation diverges before a later radius's mean raises
+        ("cmo mean raises", lambda h: h.spaces.cmo_norm(
+            h.spaces.RadialFunction(h.expr.parse("pow(r, -0.8) * log(3 - r)", 0)),
+            h.weights.isotropic(1, 0.0), 2.0)),
         ("capped n=2 scan", lambda h: h.quad.integrate_unit_cube(
             lambda t: np.sin(40.0 * t[:, 0] * t[:, 1]), 2,
             sing=h.quad.SingularityHints.regular(2), max_cells=8)),
