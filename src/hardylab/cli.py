@@ -133,11 +133,13 @@ def load_scenario(path: Path) -> tuple[Scenario, dict, dict]:
         weights = tuple(_build_weight(d, wspec) for wspec in doc["weights"])
         scenario = Scenario(d=d, kernel=kernel, weights=weights, p=p, q=q,
                             lam=lam, mode=mode)
+        scenario.p_out_exact()  # reads every p_k and q_k exactly, as the report does
         task = doc.get("task", {})
         return scenario, task, doc
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError, ExprSyntaxError) as exc:
+    # ArithmeticError: a number too large for an int or a Fraction, e.g. 1e400
+    except (KeyError, TypeError, ValueError, ArithmeticError, ExprSyntaxError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
@@ -359,9 +361,10 @@ def _cmd_sharpness(scenario, params, flags):
 
 
 def _cmd_fuzz(scenario, params, flags):
+    seed = flags.get("seed")
     rep = harness.upper_bound_fuzz(
         trials=int(params.get("trials", 100)),
-        seed=int(flags.get("seed") or params.get("seed", 1315)),
+        seed=int(params.get("seed", 1315) if seed is None else seed),
         max_d=int(params.get("max_d", 2)),
         max_m=int(params.get("max_m", 2)),
         max_n=int(params.get("max_n", 2)),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -165,11 +166,9 @@ def neumaier_sum(values) -> float:
 # graded axis transforms
 # ---------------------------------------------------------------------------
 
-def _kappa_for(exponent: float | None, logs: int) -> int:
+def _kappa_for(exponent: float, logs: int) -> int:
     """Grading order kappa with kappa*(1+a) >= 2, so the transformed integrand
     vanishes at the face even in the presence of log factors."""
-    if exponent is None:
-        return 1
     if exponent >= 0.0:
         return 2 if logs > 0 else 1
     if exponent <= -1.0:
@@ -338,7 +337,9 @@ class TensorPoints(np.lib.mixins.NDArrayOperatorsMixin):
     """The (N, n) points of a call's tensor panels, given by the grid they
     span.
 
-    ``integrate_unit_cube`` hands its integrand these for n = 2 and 3.
+    ``integrate_unit_cube`` hands its integrand these for n = 2 and 3, as
+    does the divergence scan; ``_family_panels`` is the only code that
+    builds them, and the only one that builds panel points at all.
     ``axes[i]`` holds axis i's coordinates of every box, shaped to
     broadcast along axis i + 1 of ``grid`` = (boxes, 15, ..., 15), and the
     points are that grid's in C order.  ``expr.evaluate`` reads the axes
@@ -462,12 +463,15 @@ def _halves(p: _Panel):
     return [(lo, hi[:ax] + (mid,) + hi[ax + 1:]), (lo[:ax] + (mid,) + lo[ax + 1:], hi)]
 
 
-def _refine(n, tol, max_cells, seeds):
-    """Adaptive refinement over [0,1]^n with O(1) running totals, as a
-    generator: it yields the (lo, hi) boxes it needs evaluated and is sent
-    each box's _panel_sums, or the exception evaluating the box alone
-    raised (see _lockstep).  It returns (total, err, cells, status,
-    history).
+def _refine(n, tol, max_cells, cuts):
+    """Adaptive refinement with O(1) running totals over the box whose axis
+    i is cut at cuts[i], the sorted ends of its segments, the box's own ends
+    included: [0,1]^n for an integral (see _build_transform), the shrunken
+    cube for a divergence scan.  The start-up panels are the boxes of those
+    segments, the first axis varying fastest.  It is a generator: it yields
+    the (lo, hi) boxes it needs evaluated and is sent each box's
+    _panel_sums, or the exception evaluating the box alone raised (see
+    _lockstep).  It returns (total, err, cells, status, history).
 
     The panel list keeps deterministic keys so the final total is recomputed
     with compensated summation in key order, making the result independent of
@@ -485,11 +489,6 @@ def _refine(n, tol, max_cells, seeds):
     row-wise: a half that is non-finite, or whose evaluation raised,
     raises only when greedy uses it.
     """
-    segments = []
-    for ax in range(n):
-        cuts = sorted({0.0, 1.0, *(s for s in seeds[ax] if 1e-12 < s < 1 - 1e-12)})
-        segments.append([(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)])
-
     heap: list = []
     fresh: list = []  # the entries of `heap` whose halves are not evaluated
     kids: dict[int, list] = {}  # key -> the panel's evaluated halves
@@ -559,17 +558,9 @@ def _refine(n, tol, max_cells, seeds):
             del group[1:]
         return group
 
-    shape = [len(s) for s in segments]
-    boxes = []
-    for flat in range(math.prod(shape)):
-        idx = []
-        rem = flat
-        for ax in range(n):
-            idx.append(rem % shape[ax])
-            rem //= shape[ax]
-        lo = tuple(segments[ax][idx[ax]][0] for ax in range(n))
-        hi = tuple(segments[ax][idx[ax]][1] for ax in range(n))
-        boxes.append((lo, hi))
+    # the axes' segments, last axis first: product varies the last fastest
+    segments = [list(zip(c, c[1:])) for c in reversed(cuts)]
+    boxes = [tuple(zip(*reversed(segs))) for segs in itertools.product(*segments)]
     for start in range(0, len(boxes), 2 * splits_per_call):
         chunk = boxes[start:start + 2 * splits_per_call]
         for box, res in zip(chunk, (yield chunk)):
@@ -696,34 +687,21 @@ def _divergence_scan(f, n: int) -> bool:
     """Shrink the domain toward the faces at increasing dyadic depths.
 
     Runs on the original (untransformed) integrand, in the original
-    coordinates: the integrals of f over [delta, 1-delta]^n, one per depth,
-    at loose tolerance, as one lockstep family.  For n >= 2 f gets the
-    shifted points as a TensorPoints, as integrate_unit_cube gives them.  A FloatingPointError at the
-    first depth whose integral fails means divergent; any other exception
-    is raised.
+    coordinates: _refine integrates f over [delta, 1-delta]^n itself, one
+    run per depth, at loose tolerance, as one lockstep family, and f gets
+    the points _family_panels builds, as integrate_unit_cube gives them.  A
+    FloatingPointError at the first depth whose integral fails means
+    divergent; any other exception is raised.
 
     Divergence is declared when the partial integrals grow by more than a
     factor of ten (algebraic blow-up), or when they keep growing at a
     non-decaying per-octave rate (log-type divergence; a convergent integral
     has per-octave increments that decay geometrically).
     """
-    deltas = [2.0 ** (-depth) for depth in _SCAN_DEPTHS]
-    widths = [(1.0 - delta) - delta for delta in deltas]
-    scale = np.array([w ** n for w in widths])  # float powers; an array power may round otherwise
-    lo, width = np.array(deltas), np.array(widths)
-
-    def G(u, k):
-        if n == 1:
-            return np.asarray(f(lo[k][:, None] + width[k][:, None] * u), dtype=float) * scale[k]
-        # each box's depth, on the grid: f gets the shifted axes, and its
-        # values are scaled per box
-        k = k[::15 ** n].reshape((-1,) + (1,) * n)
-        t = TensorPoints([lo[k] + width[k] * a for a in u.axes], u.grid)
-        vals = np.asarray(f(t), dtype=float)
-        return (vals.reshape(u.grid) if vals.shape == (len(t),) else vals) * scale[k]
-
-    runs = {k: _refine(n, 1e-3, 4000, [[]] * n) for k in range(len(_SCAN_DEPTHS))}
-    out = _lockstep(runs, _family_panels(G, n, dict.fromkeys(runs, [_AxisMap(1, 1)] * n)),
+    runs = {k: _refine(n, 1e-3, 4000, [(2.0 ** -depth, 1.0 - 2.0 ** -depth)] * n)
+            for k, depth in enumerate(_SCAN_DEPTHS)}
+    out = _lockstep(runs, _family_panels(lambda t, k: f(t), n,
+                                         dict.fromkeys(runs, [_AxisMap(1, 1)] * n)),
                     _LOCKSTEP_POINTS // 15 ** n)
     values = []
     for k in runs:  # in depth order, as a loop over the depths would stop
@@ -746,18 +724,19 @@ def _divergence_scan(f, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _build_transform(n, hints: SingularityHints, breakpoints):
+    """The axis maps of resolved hints, and each axis's cuts for _refine:
+    0.0, 1.0 and, in graded coordinates, the map's midpoint seed and the
+    breakpoints, less those within 1e-12 of a face."""
     maps = [
         _AxisMap(_kappa_for(hints.zero[i], hints.zero_logs[i]),
                  _kappa_for(hints.one[i], hints.one_logs[i]))
         for i in range(n)
     ]
-    seeds = []
-    for i in range(n):
-        s = list(maps[i].seeds())
-        for b in (breakpoints[i] if breakpoints else []):
-            s.append(maps[i].inverse(b))
-        seeds.append(s)
-    return maps, seeds
+    cuts = []
+    for i, m in enumerate(maps):
+        inner = m.seeds() + [m.inverse(b) for b in (breakpoints[i] if breakpoints else [])]
+        cuts.append(sorted({0.0, 1.0, *(c for c in inner if 1e-12 < c < 1 - 1e-12)}))
+    return maps, cuts
 
 
 _DEFAULT_MAX_CELLS = {1: 20000, 2: 20000, 3: 60000}
@@ -937,7 +916,7 @@ def _integrate_family(f, n: int, members: list, tol: float, member, seed: int = 
             decided[k] = _divergent_result()
             break
         h, suspicious = _resolve_hints(h, lambda axis, face, k=k: estimates[k, axis, face])
-        maps[k], seeds = _build_transform(n, h, members[k][1])
+        maps[k], cuts = _build_transform(n, h, members[k][1])
         try:
             if suspicious and _divergence_scan(member(k), n):
                 decided[k] = _divergent_result()
@@ -949,7 +928,7 @@ def _integrate_family(f, n: int, members: list, tol: float, member, seed: int = 
             decided[k] = _kept(exc)
             break
         cap = members[k][2]
-        runs[k] = _refine(n, tol, _DEFAULT_MAX_CELLS[n] if cap is None else cap, seeds)
+        runs[k] = _refine(n, tol, _DEFAULT_MAX_CELLS[n] if cap is None else cap, cuts)
     if runs:
         runs = _lockstep(runs, _family_panels(f, n, {k: maps[k] for k in runs}),
                          _LOCKSTEP_POINTS // 15 ** n)

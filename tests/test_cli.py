@@ -81,6 +81,36 @@ def test_weight_constant_below_zero_is_an_input_error(tmp_path, c):
     assert "weight constant c must be > 0" in read(out)["error"]
 
 
+@pytest.mark.parametrize("old, new, reason", [
+    ('"p": [2]', '"p": [1e400]', "cannot convert Infinity to integer ratio"),
+    ('"p": [2]', '"p": [2], "q": [1e400], "lambda": [-0.25]', "cannot convert Infinity to integer ratio"),
+    ('"d": 1', '"d": 1e400', "cannot convert float infinity to integer"),
+], ids=["p", "q", "d"])
+def test_an_overflowing_number_is_an_input_error(tmp_path, old, new, reason):
+    # json reads 1e400 as inf, which int() and Fraction() refuse with
+    # OverflowError
+    text = (SCENARIOS / "hardy-p2.json").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "overflow.json"
+    path.write_text(text.replace(old, new))
+    out = tmp_path / "report.json"
+    assert run("constant", path, out, {"no_timestamp": True}) == EXIT_INPUT
+    doc = read(out)
+    assert doc["exit_code"] == EXIT_INPUT
+    assert doc["error"] == f"invalid scenario: {reason}"
+
+
+def test_fuzz_seed_zero_is_used(tmp_path):
+    doc = read(SCENARIOS / "fuzz-quick.json")
+    doc["task"]["params"]["trials"] = 2
+    path = tmp_path / "fuzz-seed0.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    run("fuzz", path, out, {"no_timestamp": True, "seed": 0})
+    report = read(out)
+    assert report["seed"] == report["results"]["fuzz"]["seed"] == 0
+
+
 def test_expected_value_failure(tmp_path):
     doc = read(SCENARIOS / "hardy-p2.json")
     doc["task"]["params"]["expected_value"] = 3.0

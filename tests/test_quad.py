@@ -325,10 +325,11 @@ def _one_split_per_call(monkeypatch):
 
 
 def _bare_run(f, n, tol, max_cells, seeds):
-    """One refinement run of f on the unit cube, ungraded, driven by
-    quad._lockstep: its (total, err, cells, status, history), or it raises
-    what the run raised."""
-    out = quad._lockstep({0: quad._refine(n, tol, max_cells, seeds)},
+    """One refinement run of f on the unit cube, cut at each axis's seeds,
+    ungraded, driven by quad._lockstep: its (total, err, cells, status,
+    history), or it raises what the run raised."""
+    cuts = [sorted({0.0, 1.0, *axis}) for axis in seeds]
+    out = quad._lockstep({0: quad._refine(n, tol, max_cells, cuts)},
                          quad._family_panels(lambda t, k: f(t), n,
                                              {0: [quad._AxisMap(1, 1)] * n}), 0)
     if isinstance(out[0], Exception):
@@ -612,6 +613,31 @@ def test_per_axis_integrands_never_build_the_point_array(monkeypatch, n):
     assert not owner.flags.writeable
 
 
+@pytest.mark.parametrize("n, text, divergent", [
+    (2, "(t1 * t2)^(-0.9)", False),
+    (2, "(t1 * t2)^(-1.1)", True),
+    (3, "(t1 + t2 + t3)^(-2.5)", False),
+    (3, "(t1 + t2 + t3)^(-3.0)", True),
+])
+def test_divergence_scan_of_a_per_axis_integrand_builds_no_point_array(
+        monkeypatch, n, text, divergent):
+    from hardylab.expr import evaluate, parse
+
+    e = parse(text, n)
+    assert quad._divergence_scan(lambda t: evaluate(e, t=np.asarray(t)), n) is divergent
+
+    def unbuilt(self, dtype=None, copy=None):
+        raise AssertionError("the (N, n) point array was built")
+
+    monkeypatch.setattr(quad.TensorPoints, "__array__", unbuilt)
+    assert quad._divergence_scan(lambda t: evaluate(e, t=t), n) is divergent
+
+
+def test_integrate_unit_cube_needs_a_dimension():
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        integrate_unit_cube(lambda t: t[:, 0], 0)
+
+
 def _panel_sums_by_row(n, vals, vols):
     """The reference for quad._panel_sums: one np.dot per row, in Python
     floats."""
@@ -846,13 +872,9 @@ def _scan_depth_alone(f, n, delta):
     """One depth of the divergence scan as a one-member drive: the run of f
     over [delta, 1 - delta]^n at tolerance 1e-3, its result or what it
     raised."""
-    lo, hi = delta, 1.0 - delta
-
-    def G(u, k):
-        return np.asarray(f(lo + (hi - lo) * u), dtype=float) * (hi - lo) ** n
-
-    return quad._lockstep({0: quad._refine(n, 1e-3, 4000, [[] for _ in range(n)])},
-                          quad._family_panels(G, n, {0: [quad._AxisMap(1, 1)] * n}), 0)[0]
+    return quad._lockstep({0: quad._refine(n, 1e-3, 4000, [(delta, 1.0 - delta)] * n)},
+                          quad._family_panels(lambda t, k: f(t), n,
+                                              {0: [quad._AxisMap(1, 1)] * n}), 0)[0]
 
 
 @pytest.mark.parametrize("f, n, outcome", [

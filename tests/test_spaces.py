@@ -127,6 +127,19 @@ def test_morrey_sup_at_the_last_radius_is_unreliable():
     assert res.value == res.brackets[-1]
 
 
+def test_morrey_sup_at_the_first_radius_is_unreliable():
+    # a spike of width 2^-24 at 0 over r^0.05, cut off at 2^-18: the
+    # brackets at R = 2^-20, 2^-19, 2^-18 fall and rise again, so the sup
+    # sits at the grid's left end without the rise that reads divergent
+    f = RadialFunction(parse("4.0 * exp(-(r * 16777216)^2) + r^0.05", 0),
+                       outer_cutoff=2.0 ** -18)
+    res = central_morrey_norm(f, isotropic(1, 0.0), 2.0, -0.25)
+    assert res.status == "unreliable"
+    first, second, third = res.brackets[:3]
+    assert res.value == first > third > second
+    assert res.value == pytest.approx(0.0378594, rel=1e-5)
+
+
 def test_morrey_divergent_moment_is_divergent():
     # |r^-0.6|^2 = r^-1.2 is not integrable at 0 in d = 1; the cutoff keeps
     # the closed form out, so the grid's first moment diverges

@@ -196,6 +196,9 @@ def cases(np, workdir: Path):
         ("capped n=2 scan", lambda h: h.quad.integrate_unit_cube(
             lambda t: np.sin(40.0 * t[:, 0] * t[:, 1]), 2,
             sing=h.quad.SingularityHints.regular(2), max_cells=8)),
+        # the three scan depths of an n = 3 corner singularity, in lockstep
+        ("scan n=3", lambda h: h.quad._divergence_scan(
+            lambda t: (t[:, 0] + t[:, 1] + t[:, 2]) ** -3.0, 3)),
         # the cube workload's task kinds: forced tensor Gauss-Kronrod
         # constants for n = 2 and 3, and a quadrature-route apply for n = 2
         ("constant n=2", lambda h: h.constants.compute_constant(
