@@ -21,6 +21,10 @@ with per-slot exponent -(d+alpha_k) lambda_k / p_k that sometimes appears in
 print is additionally evaluated and attached to the result as
 ``as_printed_value`` so the discrepancy stays visible rather than silently
 resolved.
+
+A unit-cube constant is the operator's value at |x| = 1 on f_k = |y|^{gamma_k}
+(with log|x| symbols for 'commutator-log'), so its closed form comes from
+the separable route of :mod:`hardylab.operators`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from . import expr as _expr
 # kept as a module attribute: the benchmark's tracer test checks this alias
 from .expr import classify  # noqa: F401
 from .kernels import Scenario
-from .operators import power_log_moment
+from .operators import _separable
 from .quad import integrate_positive_orthant, integrate_unit_cube
 
 __all__ = ["SharpConstant", "compute_constant", "KIND_ALIASES"]
@@ -79,11 +83,9 @@ def _slot_exponents(kind: str, s: Scenario) -> tuple[float, ...]:
     d = s.d
     if kind in ("lebesgue", "lebesgue-hausdorff"):
         return tuple(-(d + w.degree) / s.slot_p(k) for k, w in enumerate(s.weights))
-    if kind in ("morrey", "morrey-hausdorff", "commutator-power", "commutator-log"):
-        if len(s.lam) != s.m:
-            raise ValueError(f"kind {kind!r} needs per-slot lambda exponents")
-        return tuple((d + w.degree) * lk for w, lk in zip(s.weights, s.lam))
-    raise ValueError(f"unknown kind {kind!r}")
+    if len(s.lam) != s.m:
+        raise ValueError(f"kind {kind!r} needs per-slot lambda exponents")
+    return tuple((d + w.degree) * lk for w, lk in zip(s.weights, s.lam))
 
 
 def _printed_variant_exponents(s: Scenario) -> tuple[float, ...]:
@@ -92,33 +94,20 @@ def _printed_variant_exponents(s: Scenario) -> tuple[float, ...]:
 
 
 def _closed_form_cube(s: Scenario, gammas, with_log: bool):
-    """Exact value for monomial psi and single-axis monomial dilations, or
-    None when the data do not separate."""
+    """The separable route's value at |x| = 1 for the inputs |y|^{gamma_k},
+    or None when the data do not separate."""
     plan = s.kernel.plan
-    psi_c = plan.psi
-    if not psi_c.has_closed_form:
+    profile = _separable(s.kernel, [(1.0, g, ()) for g in gammas], with_log)
+    if profile is None:
         return None
-    if psi_c.coeff == 0.0:
-        return 0.0
-    coeff = psi_c.coeff
-    for k, mono in enumerate(plan.slots):
-        if mono is None:
+    log_sign = 1.0
+    if with_log and plan.psi.coeff != 0.0:
+        # the commutator's -log|s_k| = e_k log(1/t) is |log|s_k|| up to
+        # the sign of e_k only for coefficient-one, non-constant monomials
+        if any(c_k != 1.0 or axis == 0 or e_k == 0.0 for axis, c_k, e_k in plan.slots):
             return None
-        axis, c_k, e_k = mono
-        if c_k <= 0.0:
-            return None
-        coeff *= c_k ** gammas[k]
-        if with_log:
-            # |log|s_k|| = |e_k| log(1/t) only for coefficient-one monomials
-            if c_k != 1.0 or axis == 0 or e_k == 0.0:
-                return None
-            coeff *= abs(e_k)
-    b, logs = plan.axis_exponents(psi_c.t_exponents, psi_c.t_log_powers, gammas,
-                                  with_log)
-    value = coeff
-    for i in range(s.kernel.n):
-        value *= power_log_moment(b[i], logs[i], 0.0, 1.0)
-    return value
+        log_sign = math.prod(math.copysign(1.0, e_k) for _, _, e_k in plan.slots)
+    return log_sign * float(profile(1.0))
 
 
 def _quadrature(s: Scenario, gammas, with_log: bool, tol):

@@ -204,9 +204,8 @@ def sharpness_sweep(s: Scenario, eps_grid=DEFAULT_EPS_GRID,
         try:
             res = operator_radial_lp_norm(inst)
         except ArithmeticError:
-            points.append(SweepPoint(eps, math.nan, math.nan, denom, "divergent"))
-            continue
-        if res.status == "divergent":
+            res = None
+        if res is None or res.status == "divergent":
             points.append(SweepPoint(eps, math.nan, math.nan, denom, "divergent"))
             continue
         ratio = res.value / denom

@@ -118,55 +118,63 @@ def separable_profile(inst: OperatorInstance) -> Callable | None:
     array, or one float) to the operator values there, or None when the
     data do not separate.
 
-    The per-instance work (input checks, power forms, the plan's slot
-    monomials, per-axis exponents, the commutator log expansion and the
-    moments of axes without cutoffs) is done here once; each call of the
-    returned function computes the coefficients (c_k |x|)^{gamma_k}, the
-    cutoff windows and the windowed moments elementwise over the radii.
+    This reads the inputs, each f_k a radial power c |y|^gamma with or
+    without cutoffs and, for a commutator, each symbol an uncut log|x|;
+    :func:`_separable` does the kernel side.
     """
     kernel = inst.scenario.kernel
     if kernel.domain != "unit-cube":
         return None
+    commutator = inst.mode == "commutator"
+    inputs = []
+    for k, f in enumerate(inst.inputs):
+        pw = f.power_form() if isinstance(f, RadialFunction) else None
+        sym = inst.symbols[k] if commutator else None
+        if pw is None or commutator and not (
+                isinstance(sym, RadialFunction) and sym.is_log
+                and sym.inner_cutoff is None and sym.outer_cutoff is None):
+            inputs.append(None)
+            continue
+        # an inner cut at or below 0 keeps every |y| > 0; an outer one
+        # keeps none, so f_k vanishes
+        inner, outer = f.inner_cutoff, f.outer_cutoff
+        cuts = [(inner, True)] if inner is not None and inner > 0.0 else []
+        if outer is not None:
+            cuts.append((outer, False))
+        inputs.append((0.0 if outer is not None and outer <= 0.0 else pw[0], pw[1], cuts))
+    return _separable(kernel, inputs, commutator)
+
+
+def _zero(radii):
+    return np.zeros(np.shape(radii))
+
+
+def _separable(kernel, inputs, commutator: bool) -> Callable | None:
+    """The kernel side of the separable route on a unit-cube kernel, or
+    None when psi or a slot has no closed form.
+
+    inputs[k] is (c, gamma, cuts), f_k = c |y|^gamma kept where |y| >= cut
+    for each (cut, True) and |y| <= cut for each (cut, False) in cuts, or
+    None for an f_k that does not separate; a commutator has log|x|
+    symbols.  The per-kernel work is done here once; the returned function
+    computes the coefficients (c_k |x|)^{gamma_k}, the cutoff windows and
+    the windowed moments elementwise over the radii.  At |x| = 1 on uncut
+    powers |y|^{gamma_k} its value is a sharp constant.
+    """
     n = kernel.n
     plan = kernel.plan
     psi_c = plan.psi
     if not psi_c.has_closed_form:
         return None
-
-    def zero(radii):
-        return np.zeros(np.shape(radii))
-
     if psi_c.coeff == 0.0:
-        return zero
-
+        return _zero
     slots = []
-    vanishes = False
-    for k, f in enumerate(inst.inputs):
-        if not isinstance(f, RadialFunction):
+    for mono, inp in zip(plan.slots, inputs):
+        if inp is None or mono is None or mono[1] <= 0.0:
             return None
-        pw = f.power_form()
-        if pw is None:
-            return None
-        mono = plan.slots[k]
-        if mono is None or mono[1] <= 0.0:
-            return None
-        if inst.mode == "commutator":
-            sym = inst.symbols[k]
-            if not (isinstance(sym, RadialFunction) and sym.is_log
-                    and sym.inner_cutoff is None and sym.outer_cutoff is None):
-                return None
-        # an inner cut at or below 0 keeps every |y| > 0; an outer one
-        # keeps none, so f_k and the operator vanish
-        inner, outer = f.inner_cutoff, f.outer_cutoff
-        vanishes |= pw[0] == 0.0 or (outer is not None and outer <= 0.0)
-        cuts = []
-        if inner is not None and inner > 0.0:
-            cuts.append((inner, True))
-        if outer is not None:
-            cuts.append((outer, False))
-        slots.append((*mono, *pw, cuts))
-    if vanishes:
-        return zero
+        slots.append((*mono, *inp))
+    if any(fc == 0.0 for _, _, _, fc, _, _ in slots):
+        return _zero
 
     b, _ = plan.axis_exponents(psi_c.t_exponents, psi_c.t_log_powers,
                                [gamma for _, _, _, _, gamma, _ in slots], False)
@@ -176,7 +184,7 @@ def separable_profile(inst: OperatorInstance) -> Callable | None:
     # expand prod_k (delta_k + e_k log(1/t_{axis_k})), delta_k = -log c_k,
     # into terms (coefficient, log power per axis)
     terms = [(1.0, psi_c.t_log_powers)]
-    if inst.mode == "commutator":
+    if commutator:
         for axis, c_k, e_k, _, _, _ in slots:
             delta = -math.log(c_k)
             new_terms = []
@@ -189,7 +197,7 @@ def separable_profile(inst: OperatorInstance) -> Callable | None:
                     new_terms.append((tc * e_k, tuple(bumped)))
             terms = new_terms
         if not terms:
-            return zero
+            return _zero
     fixed = {(i, logs[i]): _moment(b[i], logs[i], 0.0, 1.0)
              for _, logs in terms for i in range(n) if i not in windowed}
 

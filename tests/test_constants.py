@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
-from hardylab.constants import compute_constant
+from hardylab.constants import _printed_variant_exponents, compute_constant
 from hardylab.expr import parse
 from hardylab.kernels import KernelSpec, Scenario
+from hardylab.operators import OperatorInstance, apply
+from hardylab.spaces import log_profile, power_profile
 from hardylab.weights import isotropic
 
 from conftest import diagonal_scenario, hardy_scenario
@@ -210,3 +213,79 @@ def test_commutator_divergence_pair():
                  lam=(-0.3,), mode="commutator")  # exponent -1.2
     assert compute_constant("commutator-power", s).divergent
     assert compute_constant("commutator-log", s).divergent
+
+
+def test_morrey_kind_needs_lambda_exponents():
+    with pytest.raises(ValueError, match="lambda"):
+        compute_constant("morrey", hardy_scenario())
+
+
+def test_unknown_kind_is_rejected():
+    with pytest.raises(ValueError, match="unknown constant kind"):
+        compute_constant("bogus", hardy_scenario())
+
+
+def _seeded_monomial_scenarios(unit: bool):
+    """Commutator-mode scenarios, m = 1..3, with psi = c t^a and slots
+    s_k = c_k t_i^{e_k}: c and every c_k random (so != 1), or all 1 when
+    ``unit``."""
+    rng = np.random.default_rng(2024 + unit)
+
+    def coeff():
+        return 1.0 if unit else float(rng.uniform(0.3, 2.5))
+
+    for m in (1, 2, 3):
+        for _ in range(5):
+            n = int(rng.integers(1, 4))
+            psi = f"{coeff()!r}" + "".join(
+                f" * t{i + 1}^({float(rng.uniform(-0.3, 0.8))!r})" for i in range(n))
+            slots = tuple(
+                f"{coeff()!r} * t{int(rng.integers(1, n + 1))}"
+                f"^({float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.5))!r})"
+                for _ in range(m))
+            d = int(rng.integers(1, 4))
+            p = tuple(float(pk) for pk in rng.uniform(2.0, 6.0, m))
+            k = KernelSpec(m=m, n=n, psi=parse(psi, n), s=tuple(parse(sk, n) for sk in slots))
+            yield Scenario(d=d, kernel=k,
+                           weights=tuple(isotropic(d, float(a)) for a in rng.uniform(-0.3, 0.5, m)),
+                           p=p, q=tuple(2.0 * pk for pk in p),
+                           lam=tuple(float(rng.uniform(-1.0, -0.05)) / pk for pk in p),
+                           mode="commutator")
+
+
+def _at_e1(s, gammas, **mode):
+    """The operator at x = e_1 on the inputs |y|^{gamma_k}."""
+    e1 = np.zeros(s.d)
+    e1[0] = 1.0
+    inst = OperatorInstance(s, tuple(power_profile(g) for g in gammas), **mode)
+    return apply(inst, e1).value
+
+
+def test_closed_forms_are_the_operator_on_the_extremal_powers():
+    # one home for the moment product: every closed form is the separable
+    # route's value at |x| = 1, to the last bit
+    for s in _seeded_monomial_scenarios(unit=False):
+        for kind in ("lebesgue", "morrey", "commutator-power"):
+            c = compute_constant(kind, s)
+            assert c.method == "closed-form"
+            assert c.value == _at_e1(s, c.slot_exponents)
+        printed = _printed_variant_exponents(s)
+        assert compute_constant("morrey", s).as_printed_value == _at_e1(s, printed)
+
+
+def test_log_closed_form_is_the_log_symbol_commutator():
+    for s in _seeded_monomial_scenarios(unit=True):
+        c = compute_constant("commutator-log", s)
+        assert c.method == "closed-form"
+        assert c.value == abs(_at_e1(s, c.slot_exponents, mode="commutator",
+                                     symbols=(log_profile(),) * s.m))
+
+
+def test_zero_psi_log_constant_is_closed_form_before_the_slot_checks():
+    # s = 2 t has no |log|s|| closed form, but psi = 0 settles the value first
+    k = KernelSpec(m=1, n=1, psi=parse("0", 1), s=(parse("2 * t1", 1),))
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(3,), q=(6,),
+                 lam=(-0.25,), mode="commutator")
+    c = compute_constant("commutator-log", s)
+    assert c.method == "closed-form"
+    assert c.value == 0.0 and not c.divergent

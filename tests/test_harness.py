@@ -357,3 +357,22 @@ def test_operator_norm_call_counts_do_not_grow_with_radii(monkeypatch):
     assert seen[1]["radii"] > seen[0]["radii"]
     assert seen[0]["apply"] == seen[1]["apply"]
     assert seen[0]["classify"] == seen[1]["classify"]
+
+
+def test_sharpness_sweep_of_an_infinite_constant_raises():
+    # psi = t^{-1/2} at p = 2: int t^{-1/2} t^{-1/2} dt diverges
+    k = KernelSpec(m=1, n=1, psi=parse("t1^-0.5", 1), s=(parse("t1", 1),), beta=1.0)
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,))
+    with pytest.raises(ValueError, match="infinite"):
+        sharpness_sweep(s)
+
+
+def test_morrey_extremal_check_reports_a_divergent_constant():
+    # psi = t^{-0.9} and (d + alpha) lambda = -0.25: the exponent -1.15 diverges
+    k = KernelSpec(m=1, n=1, psi=parse("t1^-0.9", 1), s=(parse("t1", 1),))
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,),
+                 lam=(-0.25,), mode="morrey")
+    rep = morrey_extremal_check(s)
+    assert not rep["passed"]
+    assert rep["reason"] == "morrey constant diverges"
+    assert rep["constant"] == math.inf

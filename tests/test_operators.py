@@ -302,3 +302,26 @@ def test_separable_profile_matches_pointwise_apply(inst):
     for r, value in zip(radii[::2], got[::2]):
         quad = apply(inst, [r], force_quadrature=True).value
         assert quad == pytest.approx(value, rel=1e-8, abs=1e-14)
+
+
+def _commutator_scenario(s_expr: str):
+    k = KernelSpec(m=1, n=1, psi=parse("1", 1), s=(parse(s_expr, 1),))
+    return Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(3,), q=(6,),
+                    lam=(-0.25,), mode="commutator")
+
+
+def test_commutator_with_a_non_log_symbol_does_not_separate():
+    # b = |y|: int t^{-1/4} (|x| - t |x|) dt |x|^{-1/4} = 16/21 |x|^{3/4}
+    inst = OperatorInstance(_commutator_scenario("t1"), (power_profile(-0.25),),
+                            (power_profile(1.0),), mode="commutator")
+    assert separable_profile(inst) is None
+    assert apply(inst, [2.0]).value == pytest.approx(16.0 / 21.0 * 2.0 ** 0.75, rel=1e-8)
+
+
+def test_commutator_with_a_constant_unit_slot_is_zero():
+    # s = 1: b(x) - b(s x) = 0 for every symbol
+    inst = OperatorInstance(_commutator_scenario("1"), (power_profile(-0.25),),
+                            (log_profile(),), mode="commutator")
+    radii = np.geomspace(0.1, 10.0, 5)
+    assert separable_profile(inst)(radii).tolist() == [0.0] * 5
+    assert apply(inst, [2.0]).value == 0.0

@@ -8,8 +8,9 @@ name of its own (`hardylab_parent`, `hardylab_change`), so the two import
 only their own modules, with one BLAS thread.  The rows are integrals of
 `quad` alone, the forced-quadrature constants and quadrature-route `apply`
 calls of the benchmark's cube workload, which also run `expr` and the
-kernel code, and the CLI layer: a kernel's validation, writing a report,
-and one `norms` run of a Morrey-mode scenario file.  A CLI row returns the
+kernel code, closed-form constants, and the CLI layer: a kernel's
+validation, writing a report, and one `norms` run of a Morrey-mode
+scenario file.  A CLI row returns the
 bytes it wrote, and both sides read the same input file.  For each row it
 first checks that both give the same `repr` (value, errors, status and
 cells to the last bit, or the report's bytes); a mismatch is an error.
@@ -69,6 +70,20 @@ def cube_scenario(h, n: int):
                               weights=tuple(h.weights.isotropic(2, a)
                                             for a in (0.3, -0.2, 0.5)[:n]),
                               p=(3.0, 4.5, 5.0)[:n])
+
+
+@functools.lru_cache(maxsize=None)
+def commutator_scenario(h, unit: bool):
+    """An m = n = 2 commutator-mode scenario with psi = t1^0.4 t2^-0.02 and
+    s_k = c_k t_k^{e_k}, whose constants all have closed forms: c_k = 1
+    when `unit`, as the log-weighted constant needs, else 0.6 and 0.8."""
+    cs = (1.0, 1.0) if unit else (0.6, 0.8)
+    kernel = h.kernels.KernelSpec(
+        m=2, n=2, psi=h.expr.parse("t1^(0.4) * t2^(-0.02)", 2),
+        s=(h.expr.parse(f"{cs[0]} * t1^(1.3)", 2), h.expr.parse(f"{cs[1]} * t2^(0.7)", 2)))
+    return h.kernels.Scenario(d=2, kernel=kernel,
+                              weights=(h.weights.isotropic(2, 0.3), h.weights.isotropic(2, -0.2)),
+                              p=(3.0, 4.5), q=(6.0, 9.0), lam=(-0.2, -0.1), mode="commutator")
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,6 +220,14 @@ def cases(np, workdir: Path):
             "lebesgue", cube_scenario(h, 2), force_quadrature=True)),
         ("constant n=3", lambda h: h.constants.compute_constant(
             "lebesgue", cube_scenario(h, 3), force_quadrature=True)),
+        # closed-form constants, from the separable route at |x| = 1; the
+        # Morrey row also computes its printed variant
+        ("closed lebesgue m=2", lambda h: h.constants.compute_constant(
+            "lebesgue", cube_scenario(h, 2))),
+        ("closed morrey m=2", lambda h: h.constants.compute_constant(
+            "morrey", commutator_scenario(h, False))),
+        ("closed log m=2", lambda h: h.constants.compute_constant(
+            "commutator-log", commutator_scenario(h, True))),
         ("apply n=2", lambda h: h.operators.apply(
             power_instance(h), np.array([1.5, 0.7]), force_quadrature=True)),
         ("validate n=2", lambda h: cube_scenario(h, 2).kernel.validate()),
