@@ -142,8 +142,10 @@ class _Parser:
         while pos < len(self.text):
             m = _TOKEN_RE.match(self.text, pos)
             if m is None:
-                if self.text[pos:].strip() == "":
+                rest = self.text[pos:]
+                if rest.strip() == "":
                     break
+                pos += len(rest) - len(rest.lstrip())  # past the blanks
                 raise ExprSyntaxError(f"unexpected character {self.text[pos]!r}", pos)
             if m.lastgroup is not None:
                 self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
@@ -213,7 +215,7 @@ class _Parser:
             self._expect(")")
             return e
         if kind == "name":
-            if val in _FUNCTIONS:
+            if val in _FUNCTIONS or self._peek()[1] == "(":
                 return self._call(val, pos)
             if val == "r":
                 return rvar()
@@ -229,6 +231,8 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {val!r}", pos)
 
     def _call(self, name: str, pos: int) -> Expr:
+        if name not in _FUNCTIONS:
+            raise ExprSyntaxError(f"unknown function {name!r}", pos)
         self._expect("(")
         args = [self.expression()]
         while self._peek()[1] == ",":
@@ -247,11 +251,7 @@ class _Parser:
             if len(args) < 2:
                 raise ExprSyntaxError("min takes at least two arguments", pos)
             return Expr("min", tuple(args))
-        if name == "norm1m":
-            if len(args) < 1:
-                raise ExprSyntaxError("norm1m takes at least one argument", pos)
-            return Expr("norm", tuple(args))
-        raise ExprSyntaxError(f"unknown function {name!r}", pos)
+        return Expr("norm", tuple(args))  # norm1m: one argument or more
 
     def _const_value(self, e: Expr, pos: int) -> float:
         if e.free_t_indices() or e.uses_r():

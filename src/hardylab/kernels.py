@@ -36,33 +36,30 @@ __all__ = ["KernelSpec", "KernelPlan", "Scenario", "ConditionReport",
            "check_morrey_balance"]
 
 
-# A Sobol table depends only on (dimension, count, seed) and a midpoint grid
-# on (dimension, grid), so each is built once per process and shared
-# read-only by every caller.
-
-@functools.lru_cache(maxsize=32)
-def _sobol_points(n: int, count: int, seed: int) -> np.ndarray:
-    from scipy.stats import qmc
-
-    pts = np.clip(qmc.Sobol(d=n, scramble=True, seed=seed).random(count), 1e-9, 1.0 - 1e-9)
-    pts.flags.writeable = False
-    return pts
-
+# One sampler serves every sampled check: kernel validation, the beta
+# condition, the harness's support start and kernel separation.  Its n <= 3
+# grids need no scipy; only n >= 4 imports scipy.stats, for Sobol points.
+# Each table is built once per process and shared read-only.
 
 def cube_points(n: int, grid: int, seed: int) -> np.ndarray:
     """Deterministic sample of the open cube: the midpoint grid with ``grid``
     points per axis for n <= 3, which does not depend on ``seed``, else 1024
-    scrambled Sobol points.  The table is cached and read-only."""
-    if n > 3:
-        return _sobol_points(n, 1024, seed)
-    return _midpoint_grid(n, grid)
+    scrambled Sobol points, which do not depend on ``grid``.  The table is
+    cached and read-only."""
+    return _cube_table(n, grid, 0) if n <= 3 else _cube_table(n, 0, seed)
 
 
 @functools.lru_cache(maxsize=32)
-def _midpoint_grid(n: int, grid: int) -> np.ndarray:
-    axis = (np.arange(grid) + 0.5) / grid
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
+def _cube_table(n: int, grid: int, seed: int) -> np.ndarray:
+    if n > 3:
+        from scipy.stats import qmc
+
+        pts = np.clip(qmc.Sobol(d=n, scramble=True, seed=seed).random(1024),
+                      1e-9, 1.0 - 1e-9)
+    else:
+        axis = (np.arange(grid) + 0.5) / grid
+        mesh = np.meshgrid(*([axis] * n), indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=1)
     pts.flags.writeable = False
     return pts
 
@@ -178,8 +175,12 @@ class KernelSpec:
         return KernelPlan(psi=psi_c, slots=slots, base=base)
 
     def validate(self) -> None:
-        """Sample the open domain: psi >= 0, dilations finite, beta holds."""
-        pts = _sobol_points(self.n, 1024, 7)
+        """Sample the open domain: psi >= 0, dilations finite, beta holds.
+
+        The sample has at least 1024 points: the 1025-point grid for n = 1
+        and the beta check's 33-per-axis grid for n = 2 and 3, whose odd
+        counts hold the midplanes t_i = 1/2, and Sobol points for n >= 4."""
+        pts = cube_points(self.n, grid=1025 if self.n == 1 else 33, seed=7)
         if self.domain == "positive-orthant":
             dom_pts = pts / (1.0 - pts)
         else:

@@ -200,6 +200,7 @@ def _separable(kernel, inputs, commutator: bool) -> Callable | None:
             return _zero
     fixed = {(i, logs[i]): _moment(b[i], logs[i], 0.0, 1.0)
              for _, logs in terms for i in range(n) if i not in windowed}
+    expanded = len(terms) > 1
 
     def values(xr):
         # one float radius (pointwise apply) runs on Python floats, which
@@ -233,13 +234,20 @@ def _separable(kernel, inputs, commutator: bool) -> Callable | None:
                 hi[i] = 1.0
             dead = dead | (lo[i] >= hi[i])
         any_dead = dead.any() if isinstance(dead, np.ndarray) else bool(dead)
-        if any_dead:
-            # dead radii get the window [0, 0], whose moments are 0 (their
-            # values are set to 0 below)
-            for i in windowed:
-                lo[i] = np.where(dead, 0.0, lo[i])
-                hi[i] = np.where(dead, 0.0, hi[i])
-        total = 0.0
+        if not any_dead:
+            return moments_sum(coeff, lo, hi)
+        # dead radii get the window [0, 0], whose moments are 0; where a
+        # fixed moment is infinite that makes 0 * inf, and every dead value
+        # is set to 0
+        for i in windowed:
+            lo[i] = np.where(dead, 0.0, lo[i])
+            hi[i] = np.where(dead, 0.0, hi[i])
+        with np.errstate(invalid="ignore"):
+            return np.where(dead, 0.0, moments_sum(coeff, lo, hi))
+
+    def moments_sum(coeff, lo, hi):
+        """The sum over the terms of coeff * tc * prod_i moment_i."""
+        total, infinite = 0.0, False
         for tc, logs in terms:
             piece = coeff * tc
             for i in range(n):
@@ -247,8 +255,16 @@ def _separable(kernel, inputs, commutator: bool) -> Callable | None:
                 if moment is None:
                     moment = _moment(b[i], logs[i], lo[i], hi[i])
                 piece = piece * moment
+            if expanded:
+                # a divergent moment makes its term infinite, and the terms
+                # of a commutator's log expansion differ in sign: the
+                # integral diverges wherever one term does, which the sum
+                # would turn into inf - inf = NaN
+                hit = np.isinf(piece)
+                infinite = infinite | hit
+                piece = np.where(hit, 0.0, piece)
             total = total + piece
-        return np.where(dead, 0.0, total) if any_dead else total
+        return np.where(infinite, math.inf, total) if expanded else total
 
     return values
 

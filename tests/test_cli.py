@@ -395,6 +395,35 @@ def test_main_entry_point(tmp_path, capsys):
     assert doc["command"] == "constant"
 
 
+def test_n_up_to_3_commands_never_import_scipy(tmp_path):
+    # scipy is imported lazily, only for n >= 4 and weighted BMO at d >= 2:
+    # the bundled suite and an n = 3 quadrature eval must not pull it in
+    doc = read(SCENARIOS / "hardy-p2.json")
+    doc["kernel"] = {"m": 1, "n": 3, "domain": "unit-cube", "psi": "1",
+                     "s": ["t1 * t2 * t3"], "beta": 3.0}
+    doc["task"] = {"command": "eval",
+                   "params": {"inputs": [{"profile": "exp(-r)"}], "points": [[2.0]]}}
+    scenario = tmp_path / "eval-n3.json"
+    scenario.write_text(json.dumps(doc))
+    script = (
+        "import sys\n"
+        "from hardylab.cli import main\n"
+        f"assert main(['suite', {str(SCENARIOS)!r}, '-o', {str(tmp_path / 'suite.json')!r},"
+        " '--no-timestamp']) == 0\n"
+        f"assert main(['eval', {str(scenario)!r}, '-o', {str(tmp_path / 'eval.json')!r},"
+        " '--no-timestamp']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(hardylab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert read(tmp_path / "eval.json")["results"]["evaluations"][0]["result"]["status"] \
+        == "converged"
+
+
 def test_console_script_runs():
     # the child imports the same hardylab as this process, installed or not
     src = str(Path(hardylab.__file__).parents[1])

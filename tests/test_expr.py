@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,3 +209,29 @@ def test_points_derived_from_tensor_points_are_evaluated_point_by_point():
     # with r bound the flat path runs, too
     er = parse("t1 * r", 2)
     assert evaluate(er, t=t, r=2.0).shape == (len(t),)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("t1 $ 2", "unexpected character '$'", 3),
+    ("t1 t2", "trailing input 't2'", 3),
+    ("(t1 + 2", "expected ')', found ''", 7),
+    ("q + t1", "unknown name 'q'", 0),
+    ("2 * foo(t1)", "unknown function 'foo'", 4),
+    ("pow(t1)", "pow takes two arguments", 0),
+    ("pow(t1, 2, 3)", "pow takes two arguments", 0),
+    ("log(t1, 2)", "log takes one argument", 0),
+    ("exp(t1, 2)", "exp takes one argument", 0),
+    ("abs(t1, t2)", "abs takes one argument", 0),
+    ("min(t1)", "min takes at least two arguments", 0),
+    ("norm1m()", "unexpected token ')'", 7),
+    ("t1^r", "exponent must be a constant expression", 2),
+    ("pow(t1, t2)", "exponent must be a constant expression", 0),
+])
+def test_each_syntax_error_names_its_cause_and_position(text, message, position):
+    with pytest.raises(ExprSyntaxError, match=re.escape(message)) as exc:
+        parse(text, 2)
+    assert exc.value.position == position
+
+
+def test_unary_plus_and_trailing_blanks_parse():
+    assert eval_scalar(parse("+t1 * -+2  ", 1), (0.25,)) == -0.5

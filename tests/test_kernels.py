@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hardylab import expr
 from hardylab.expr import parse
-from hardylab.kernels import (KernelSpec, Scenario, _sobol_points, check_beta_condition,
+from hardylab.kernels import (KernelSpec, Scenario, check_beta_condition,
                               check_morrey_balance, check_walpha_condition, cube_points)
 from hardylab.weights import Weight, isotropic
 
@@ -48,17 +49,15 @@ def fresh_cube_points(n, grid, seed):
     return np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=1)
 
 
-@pytest.mark.parametrize("n, grid, seed", [(1, 33, 7), (2, 33, 3), (3, 65, 5), (4, 33, 7)])
+@pytest.mark.parametrize("n, grid, seed", [(1, 33, 7), (1, 1025, 7), (2, 33, 3), (3, 65, 5),
+                                           (4, 33, 7)])
 def test_sample_tables_are_shared_and_read_only(n, grid, seed):
-    for table, fresh in ((lambda: cube_points(n, grid=grid, seed=seed),
-                          fresh_cube_points(n, grid, seed)),
-                         (lambda: _sobol_points(n, 1024, 7), fresh_sobol(n, 7))):
-        pts = table()
-        assert table() is pts
-        np.testing.assert_array_equal(pts, fresh)
-        assert not pts.flags.writeable
-        with pytest.raises(ValueError):
-            pts[0, 0] = 0.5
+    pts = cube_points(n, grid=grid, seed=seed)
+    assert cube_points(n, grid=grid, seed=seed) is pts
+    np.testing.assert_array_equal(pts, fresh_cube_points(n, grid, seed))
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.5
 
 
 def test_midpoint_grids_are_shared_across_seeds():
@@ -66,6 +65,72 @@ def test_midpoint_grids_are_shared_across_seeds():
     assert cube_points(3, grid=33, seed=3) is cube_points(3, grid=33, seed=7)
     assert cube_points(3, grid=33, seed=3) is not cube_points(3, grid=65, seed=3)
     assert not np.array_equal(cube_points(4, grid=33, seed=3), cube_points(4, grid=33, seed=7))
+    # for n >= 4 the grid is not read: kernel validation's Sobol table
+    assert cube_points(4, grid=33, seed=7) is cube_points(4, grid=1025, seed=7)
+
+
+def _recorded_samples(monkeypatch):
+    """The point tables expr.evaluate is called on, in call order."""
+    seen = []
+    real = expr.evaluate
+
+    def recording(e, t=None, r=None):
+        seen.append(t)
+        return real(e, t=t, r=r)
+
+    monkeypatch.setattr(expr, "evaluate", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_validation_reads_the_beta_check_table(monkeypatch, n):
+    seen = _recorded_samples(monkeypatch)
+    k = KernelSpec(m=1, n=n, psi=parse("1", n), s=(parse("t1", n),), beta=1.0)
+    k.validate()  # psi, s_1, then the declared beta's check of s_1
+    check_beta_condition(k, 1.0)
+    assert len(seen) == 4
+    assert all(t is seen[0] for t in seen)
+    assert seen[0] is cube_points(n, grid=33, seed=7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_validation_samples_at_least_1024_points(monkeypatch, n):
+    seen = _recorded_samples(monkeypatch)
+    KernelSpec(m=1, n=n, psi=parse("1", n), s=(parse("t1", n),)).validate()
+    assert seen[0].shape == ({1: 1025, 2: 33 ** 2, 3: 33 ** 3, 4: 1024}[n], n)
+
+
+def _validate(n, psi="1", s="t1", beta=None):
+    KernelSpec(m=1, n=n, psi=parse(psi, n), s=(parse(s, n),), beta=beta).validate()
+
+
+# (negative on the slab of width 1/33 at a face of axis i, nonnegative)
+FACE_SLABS = [("t{i} - 1/33", "t{i}"), ("32/33 - t{i}", "33/32 - t{i}")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_validation_rejects_psi_negative_on_a_slab_at_each_face(n):
+    for i in range(1, n + 1):
+        for negative, positive in FACE_SLABS:
+            _validate(n, psi=positive.format(i=i))
+            with pytest.raises(ValueError, match="psi takes negative values"):
+                _validate(n, psi=negative.format(i=i))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_validation_rejects_a_pole_on_the_midplane(n):
+    for i in range(1, n + 1):
+        _validate(n, s=f"1/(t{i} + 1/2)")
+        with pytest.raises(ValueError):
+            _validate(n, s=f"1/(t{i} - 1/2)")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_validation_rejects_a_failing_declared_beta(n):
+    prod = " * ".join(f"t{i}" for i in range(1, n + 1))
+    _validate(n, s=prod, beta=float(n))
+    with pytest.raises(ValueError, match="declared beta"):
+        _validate(n, s=f"({prod})^2", beta=float(n))
 
 
 def test_kernel_validation_rejects_negative_psi():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -325,3 +326,29 @@ def test_commutator_with_a_constant_unit_slot_is_zero():
     radii = np.geomspace(0.1, 10.0, 5)
     assert separable_profile(inst)(radii).tolist() == [0.0] * 5
     assert apply(inst, [2.0]).value == 0.0
+
+
+def test_divergent_commutator_terms_of_both_signs_read_divergent():
+    # s = 2 t1, f = |y|^-1.5: -log|s| = -log 2 + log(1/t) splits into two
+    # terms, both with the divergent moment of t^-1.5, and of opposite signs
+    inst = OperatorInstance(_commutator_scenario("2 * t1"), (power_profile(-1.5),),
+                            (log_profile(),), mode="commutator")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert separable_profile(inst)(np.array([1.0, 2.0])).tolist() == [math.inf] * 2
+        got = apply(inst, [1.0])
+    assert got.status == "divergent" and got.value == math.inf
+
+
+def test_a_vanishing_input_beside_a_divergent_axis_reads_zero():
+    # f_1 = |y|^-1/4 kept for |y| >= 1 vanishes on the whole cube at |x| = 1/2,
+    # so T f = 0 there, without a 0 * inf warning, although psi's t2 moment
+    # diverges; at |x| = 2 it is infinite
+    k = KernelSpec(m=2, n=2, psi=parse("t2^-1.5", 2), s=(parse("t1", 2), parse("t2", 2)))
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),) * 2, p=(4, 4))
+    inst = OperatorInstance(s, (power_profile(-0.25, inner_cutoff=1.0), power_profile(0.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert separable_profile(inst)(np.array([0.5, 2.0])).tolist() == [0.0, math.inf]
+        assert apply(inst, [0.5]).value == 0.0
+        assert apply(inst, [2.0]).status == "divergent"
