@@ -12,7 +12,8 @@ failure: the result carries an explicit 'divergent' status.  Detection is
 symbolic when the caller supplies face exponents, and otherwise empirical:
 the domain is shrunk away from the faces at doubling grading depths and the
 integral is declared divergent when the partial values keep growing by more
-than a factor of ten.
+than a factor of ten.  A run that hits its cell cap is divergent exactly
+when that scan says so.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "integrate_positive_orthant",
     "integrate_interval",
     "integrate_intervals",
-    "neumaier_sum",
 ]
 
 # 15-point Kronrod nodes on [-1, 1] with the embedded 7-point Gauss rule.
@@ -146,20 +146,6 @@ class SingularityHints:
             zero=pad(self.zero, 0.0), one=pad(self.one, 0.0),
             zero_logs=pad(self.zero_logs, 0), one_logs=pad(self.one_logs, 0),
         )
-
-
-def neumaier_sum(values) -> float:
-    """Compensated summation; order-independent to ~1 ulp for our panel sets."""
-    s = 0.0
-    comp = 0.0
-    for v in values:
-        t = s + v
-        if abs(s) >= abs(v):
-            comp += (s - t) + v
-        else:
-            comp += (v - t) + s
-        s = t
-    return s + comp
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +457,11 @@ def _refine(n, tol, max_cells, cuts):
     segments, the first axis varying fastest.  It is a generator: it yields
     the (lo, hi) boxes it needs evaluated and is sent each box's
     _panel_sums, or the exception evaluating the box alone raised (see
-    _lockstep).  It returns (total, err, cells, status, history).
+    _lockstep).  It returns (total, err, cells, status).
 
-    The panel list keeps deterministic keys so the final total is recomputed
-    with compensated summation in key order, making the result independent of
-    refinement scheduling details.
+    The totals are recomputed from the live panels with math.fsum, which
+    rounds exactly, so they do not depend on the panels' order or on the
+    refinement schedule's running sums.
 
     Refinement is greedy, one split at a time: the worst panel is halved
     along its widest axis.  Only the evaluation is batched: a request holds
@@ -566,8 +552,6 @@ def _refine(n, tol, max_cells, cuts):
         for box, res in zip(chunk, (yield chunk)):
             push(box, res)
 
-    history: list[tuple[int, float]] = []
-    next_snapshot = 32
     while True:
         if error_sum <= tol * max(abs(value_sum), 1e-300) or error_sum == 0.0:
             status = "converged"
@@ -575,9 +559,6 @@ def _refine(n, tol, max_cells, cuts):
         if len(alive) >= max_cells:
             status = "max-cells-reached"
             break
-        if len(alive) >= next_snapshot:
-            history.append((len(alive), value_sum))
-            next_snapshot *= 2
         _, key = heapq.heappop(heap)
         if key not in kids:
             group = must_split()  # the worst panel first: it is this key
@@ -593,10 +574,9 @@ def _refine(n, tol, max_cells, cuts):
         for box, res in kids.pop(key):
             push(box, res)
 
-    ordered = [alive[k] for k in sorted(alive)]
-    total = neumaier_sum(p.value for p in ordered)
-    err = neumaier_sum(p.error for p in ordered)
-    return total, abs(err), len(alive), status, history
+    total = math.fsum(p.value for p in alive.values())
+    err = math.fsum(p.error for p in alive.values())
+    return total, err, len(alive), status
 
 
 def _kept(exc: Exception) -> Exception:
@@ -772,16 +752,11 @@ def _jacobian(derivatives):
 
 
 def _conclude(f, n: int, run) -> QuadResult:
-    """The result of a refinement run of f: a capped run whose partial
-    values grew tenfold, or whose divergence scan says so, is divergent."""
-    total, err, cells, status, history = run
-    if status == "max-cells-reached":
-        grew = (
-            len(history) >= 3
-            and abs(history[-1][1]) > 10.0 * max(abs(history[-3][1]), 1e-300)
-        )
-        if grew or _divergence_scan(f, n):
-            return _divergent_result(cells)
+    """The result of a refinement run of f: a capped run is divergent
+    exactly when the divergence scan of f says so."""
+    total, err, cells, status = run
+    if status == "max-cells-reached" and _divergence_scan(f, n):
+        return _divergent_result(cells)
     rel = err / max(abs(total), 1e-300)
     return QuadResult(total, err, rel, status, cells)
 

@@ -374,29 +374,25 @@ def _sup_over_grid(radii, brackets, errors, capped: bool = False) -> NormResult:
     grid boundary or if a bracket's quadrature hit its cell cap."""
     radii = tuple(radii)
     brackets = tuple(brackets)
-    finite = [b for b in brackets if math.isfinite(b)]
-    if len(finite) < len(brackets):
+
+    def growing(a, b, c):  # strictly increasing triple (rel margin)
+        return c > b * (1 + 1e-12) and b > a * (1 + 1e-12)
+
+    # a grid holds at least 3 radii (see _radius_grid)
+    if not all(map(math.isfinite, brackets)) or \
+       growing(brackets[2], brackets[1], brackets[0]) or \
+       growing(brackets[-3], brackets[-2], brackets[-1]):
         return NormResult(math.inf, "radial-quadrature", math.inf, "divergent",
                           radii, brackets)
     i_max = int(np.argmax(brackets))
     value = brackets[i_max]
     status = "finite"
-
-    def growing(a, b, c):  # strictly increasing triple (rel margin)
-        return c > b * (1 + 1e-12) and b > a * (1 + 1e-12)
-
-    if len(brackets) >= 3:
-        if growing(brackets[2], brackets[1], brackets[0]) or \
-           growing(brackets[-3], brackets[-2], brackets[-1]):
-            status = "divergent"
-            return NormResult(math.inf, "radial-quadrature", math.inf, status,
-                              radii, brackets)
-        # sup attained strictly at a grid boundary: not trustworthy
-        if i_max == 0 and brackets[0] > brackets[1] * (1 + 1e-12):
-            status = "unreliable"
-        if i_max == len(brackets) - 1 and \
-                brackets[-1] > brackets[-2] * (1 + 1e-12):
-            status = "unreliable"
+    # sup attained strictly at a grid boundary: not trustworthy
+    if i_max == 0 and brackets[0] > brackets[1] * (1 + 1e-12):
+        status = "unreliable"
+    if i_max == len(brackets) - 1 and \
+            brackets[-1] > brackets[-2] * (1 + 1e-12):
+        status = "unreliable"
     if capped:
         status = "unreliable"
     return NormResult(value, "radial-quadrature", max(errors), status,

@@ -150,7 +150,7 @@ class Weight:
                     c *= w.c ** q
                     if w.kind == "power-x1":
                         e += w.e * q
-                return c * (_x1_moment(d, e) if d >= 2 else 2.0)
+                return c * _x1_moment(d, e)
             if d == 2:
                 return self._circle_integral(lambda u: self.angular(u))
             raise ValueError("general angular products are limited to d <= 2")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hardylab
-from hardylab import cli
+from hardylab import cli, quad
 from hardylab.cli import (EXIT_DIVERGENT, EXIT_FAIL, EXIT_INPUT, EXIT_PASS,
                           bundled_scenario_dir, load_scenario, main, run,
                           run_suite, write_report)
@@ -163,6 +163,86 @@ def test_eval_command(tmp_path):
     rep = read(out)
     got = rep["results"]["evaluations"][0]["result"]["value"]
     assert got == pytest.approx(4.0 / 3.0 * 2.0 ** -0.25, rel=1e-10)
+
+
+_HARDY_DOC = {"geometry": {"d": 1}, "kernel": {"m": 1, "n": 1, "psi": "1", "s": ["t1"]},
+              "weights": [{"degree": 0.0}], "exponents": {"p": [2]}}
+
+
+def _run_task(tmp_path, doc, command, **params):
+    """Run command on doc with the task params; (exit code, results)."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(doc, task={"command": command, "params": params})))
+    out = tmp_path / "report.json"
+    code = run(command, path, out, {"no_timestamp": True})
+    return code, read(out)["results"]
+
+
+def test_declared_singularities_reach_the_quadrature(tmp_path, monkeypatch):
+    # the constant of psi = e^t t^-1/2, s = t at d = 1, p = 4 is
+    # int_0^1 e^t t^-3/4 dt = sum_k 1/(k! (k + 1/4)); psi has no closed form,
+    # so the faces come from the declared exponent, and none is probed
+    faces = []
+    real = quad._probe_family
+
+    def recording(f, n, probed):
+        faces.extend(probed)
+        return real(f, n, probed)
+
+    monkeypatch.setattr(quad, "_probe_family", recording)
+    doc = {"geometry": {"d": 1},
+           "kernel": {"m": 1, "n": 1, "psi": "exp(t1) * t1^(-0.5)", "s": ["t1"]},
+           "weights": [{"degree": 0.0}], "exponents": {"p": [4]}}
+    code, results = _run_task(tmp_path, doc, "constant")
+    assert code == EXIT_PASS and faces  # undeclared, the faces are probed
+    faces.clear()
+    doc["kernel"]["singularities"] = {"zero": [-0.5]}
+    code, results = _run_task(tmp_path, doc, "constant")
+    assert code == EXIT_PASS and not faces
+    c = results["constant"]
+    assert c["method"] == "quadrature"
+    assert abs(c["value"] - 5.085148419616586) <= c["error"]
+
+
+def test_eval_of_a_commutator_with_a_log_symbol(tmp_path):
+    # [log|x|, H] r^-1/4 at |x| = 2: 2^-1/4 int_0^1 log(1/t) t^-1/4 dt
+    code, results = _run_task(tmp_path, _HARDY_DOC, "eval", inputs=[{"profile": "r^(-0.25)"}],
+                              symbols=[{"profile": "log(r)"}], points=[[2.0]])
+    assert code == EXIT_PASS
+    res = results["evaluations"][0]["result"]
+    assert res["status"] == "converged"
+    assert res["value"] == pytest.approx(2.0 ** -0.25 * 16.0 / 9.0, rel=1e-14)
+
+
+def test_eval_on_the_positive_orthant(tmp_path):
+    # psi = e^-t over (0, inf), s = t: r^-1/4 at |x| = 2 reads 2^-1/4 Gamma(3/4)
+    doc = dict(_HARDY_DOC, kernel={"m": 1, "n": 1, "domain": "positive-orthant",
+                                   "psi": "exp(-t1)", "s": ["t1"]})
+    code, results = _run_task(tmp_path, doc, "eval", inputs=[{"profile": "r^(-0.25)"}],
+                              points=[[2.0]])
+    assert code == EXIT_PASS
+    res = results["evaluations"][0]["result"]
+    assert res["status"] == "converged"
+    assert abs(res["value"] - 2.0 ** -0.25 * math.gamma(0.75)) <= res["abs_error_estimate"]
+
+
+def test_divergent_values_exit_with_the_divergent_code(tmp_path):
+    code, results = _run_task(tmp_path, _HARDY_DOC, "eval", inputs=[{"profile": "r^(-1.5)"}],
+                              points=[[1.0]])
+    assert code == EXIT_DIVERGENT
+    assert results["evaluations"][0]["result"]["status"] == "divergent"
+    code, results = _run_task(tmp_path, _HARDY_DOC, "norms", inputs=[{"profile": "r^(-0.5)"}])
+    assert code == EXIT_DIVERGENT
+    assert results["norms"][0]["lebesgue"]["status"] == "divergent"
+    code, _ = _run_task(tmp_path, _HARDY_DOC, "norms", inputs=[{"profile": "r^(-0.5)"}],
+                        allow_divergent=True)
+    assert code == EXIT_PASS
+    # the Morrey constant int_0^1 t^-0.9 t^-1/2 dt diverges
+    doc = dict(_HARDY_DOC, kernel={"m": 1, "n": 1, "psi": "t1^(-0.9)", "s": ["t1"]},
+               exponents={"p": [2], "lambda": [-0.5]})
+    code, results = _run_task(tmp_path, doc, "morrey-extremal")
+    assert code == EXIT_DIVERGENT
+    assert results["morrey_extremal"]["constant"] == "inf"
 
 
 def test_norms_command(tmp_path):

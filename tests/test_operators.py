@@ -58,6 +58,17 @@ def test_constant_inputs_give_one():
         assert apply(inst, [x]).value == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("origin_value", [3.0, None])
+def test_apply_at_the_origin_reads_the_origin_value(origin_value):
+    # at x = 0 every dilate s(t) x is the origin, so Hf(0) = f(0) int psi,
+    # and a negative power takes origin_value there (0 by default)
+    kw = {} if origin_value is None else {"origin_value": origin_value}
+    inst = OperatorInstance(hardy_scenario(), (RadialFunction(parse("r^(-0.5)", 0), **kw),))
+    res = apply(inst, [0.0])
+    assert res.converged
+    assert abs(res.value - (origin_value or 0.0)) <= res.abs_error_estimate
+
+
 def test_power_form_classified_once_per_input(monkeypatch):
     # each input's profile is classified on its first power_form, then kept
     from hardylab import spaces

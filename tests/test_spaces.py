@@ -32,6 +32,32 @@ def test_closed_form_norm_of_empty_support_is_zero():
     assert res.method == "closed-form" and res.value == 0.0
 
 
+def test_norm_at_the_logarithmic_moment_exponent():
+    # r^-1/2 on [1, 4] at d = 1, p = 2: E = p gamma + d + alpha = 0, so the
+    # moment is log(hi/lo)
+    f = power_profile(-0.5, inner_cutoff=1.0, outer_cutoff=4.0)
+    w = isotropic(1, 0.0)
+    want = math.sqrt(2.0 * math.log(4.0))
+    res = lp_norm(f, w, 2.0)
+    assert res.method == "closed-form"
+    assert res.value == pytest.approx(want, rel=1e-15)
+    forced = lp_norm(f, w, 2.0, force_quadrature=True)
+    assert forced.method == "radial-quadrature" and forced.status == "finite"
+    assert abs(forced.value - want) <= forced.error
+
+
+def test_forced_norm_with_a_finite_outer_cutoff_matches_closed_form():
+    # no tail: the radial engine integrates r^-0.6 up to the cutoff itself
+    f = power_profile(-0.3, outer_cutoff=5.0)
+    w = isotropic(1, 0.0)
+    want = (2.0 * 5.0 ** 0.4 / 0.4) ** 0.5
+    assert want == pytest.approx(3.085169313600048, rel=1e-15)
+    assert lp_norm(f, w, 2.0).value == pytest.approx(want, rel=1e-15)
+    res = lp_norm(f, w, 2.0, force_quadrature=True)
+    assert res.method == "radial-quadrature" and res.status == "finite"
+    assert abs(res.value - want) <= res.error
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
 def test_witness_norm_quadrature_agrees(d, alpha):
