@@ -10,7 +10,7 @@ A scenario file is one JSON document:
       "weights":  [{"degree": 0.0, "kind": "isotropic", "params": {"c": 1.0}}],
       "exponents": {"p": [2], "q": null, "lambda": null},
       "task":     {"command": "constant", "params": {"kind": "lebesgue"},
-                   "tolerances": {}, "seed": 1315}
+                   "seed": 1315}
     }
 
 Commands: constant, eval, norms, check-conditions, sharpness, fuzz,
@@ -420,6 +420,8 @@ def run(command: str, scenario_path, output_path=None, flags=None) -> int:
     try:
         if command not in _DISPATCH:
             raise ScenarioError(f"unknown command {command!r}")
+        if flags.get("tol") is not None and not flags["tol"] > 0.0:
+            raise ScenarioError(f"--tol-override must be positive, not {flags['tol']}")
         scenario, task, doc = load_scenario(Path(scenario_path))
         params = dict(task.get("params", {}))
         if flags.get("seed") is None and "seed" in task:
@@ -525,11 +527,17 @@ def main(argv=None) -> int:
                     help="scenario file (or directory for 'suite'; defaults "
                          "to the bundled scenarios)")
     ap.add_argument("-o", "--output", default=None, help="report file (default: stdout)")
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--tol-override", type=float, default=None, dest="tol")
-    ap.add_argument("--max-cells", type=int, default=None, dest="max_cells")
-    ap.add_argument("--radii-J", type=int, default=20, dest="radii_J")
-    ap.add_argument("--emit-csv", default=None, dest="emit_csv")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="fuzz: trial seed (other commands echo it in the report)")
+    ap.add_argument("--tol-override", type=float, default=None, dest="tol",
+                    help="constant, eval: quadrature tolerance, > 0")
+    ap.add_argument("--max-cells", type=int, default=None, dest="max_cells",
+                    help="eval: quadrature cell cap")
+    ap.add_argument("--radii-J", type=int, default=20, dest="radii_J",
+                    help="norms, morrey-extremal, commutator-witness: radius grid "
+                         "2^j, |j| <= J (default 20)")
+    ap.add_argument("--emit-csv", default=None, dest="emit_csv",
+                    help="sharpness: also write the sweep as CSV here")
     ap.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
     args = ap.parse_args(argv)
     flags = {"seed": args.seed, "tol": args.tol, "max_cells": args.max_cells,

@@ -553,7 +553,7 @@ def _refine(n, tol, max_cells, cuts):
             push(box, res)
 
     while True:
-        if error_sum <= tol * max(abs(value_sum), 1e-300) or error_sum == 0.0:
+        if error_sum <= tol * max(abs(value_sum), 1e-300):
             status = "converged"
             break
         if len(alive) >= max_cells:
@@ -598,6 +598,15 @@ def _alone(call):
         return call()
     except Exception as exc:
         return _kept(exc)
+
+
+def _raise_kept(outcomes: list) -> list:
+    """A family's outcome list (see integrate_intervals), or, if it ends with
+    a kept exception, that exception raised.  It is popped off the list, so
+    no local keeps it and its new traceback closes no cycle."""
+    if outcomes and isinstance(outcomes[-1], Exception):
+        raise outcomes.pop()
+    return outcomes
 
 
 # the most integrand points the live runs of a lockstep family may hold: the
@@ -787,11 +796,8 @@ def integrate_unit_cube(
         raise ValueError("n must be >= 1")
     if tol is None:
         tol = _DEFAULT_TOLS.get(n, _QMC_TOL)
-    out = _integrate_family(lambda t, k: f(t), n, [(sing, breakpoints, max_cells)], tol,
-                            lambda k: f, seed)
-    if isinstance(out[0], Exception):
-        raise out.pop()  # no local keeps it, so its traceback closes no cycle
-    return out[0]
+    return _raise_kept(_integrate_family(lambda t, k: f(t), n, [(sing, breakpoints, max_cells)],
+                                         tol, lambda k: f, seed))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1003,12 +1009,9 @@ def integrate_interval(
     near the respective endpoint, in the local distance variable.  It is a
     family of one for integrate_intervals.
     """
-    out = integrate_intervals(lambda x, k: f(x), [dict(
+    return _raise_kept(integrate_intervals(lambda x, k: f(x), [dict(
         a=a, b=b, sing_a=sing_a, sing_b=sing_b, breakpoints=breakpoints,
-        max_cells=max_cells)], tol=tol)
-    if isinstance(out[0], Exception):
-        raise out.pop()  # no local keeps it, so its traceback closes no cycle
-    return out[0]
+        max_cells=max_cells)], tol=tol))[0]
 
 
 def integrate_intervals(f, members: list, tol: float = 1e-10) -> list:

@@ -23,6 +23,7 @@ an infinite range gets an analytic tail beyond r = 2^40 (_radial_lp).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 from . import expr as _expr
 from .expr import Expr, classify
 from .kernels import Scenario
-from .quad import integrate_intervals
+from .quad import _raise_kept, integrate_intervals
 from .weights import DivergentWeightError, Weight, sphere_surface_area
 
 __all__ = [
@@ -158,7 +159,7 @@ def _divergent(method: str) -> NormResult:
 # ---------------------------------------------------------------------------
 
 def _radial_integrals(fn, members, zero_exp: float | None = None,
-                      zero_logs: int = 0, tol: float = 1e-10) -> tuple[list, list]:
+                      zero_logs: int = 0, tol: float = 1e-10) -> list:
     """integral of fn(r, k) dr over (lo, hi) for every member k = (lo, hi,
     breakpoints) of a radius grid, all in lockstep; every hi is finite.
 
@@ -167,13 +168,11 @@ def _radial_integrals(fn, members, zero_exp: float | None = None,
     substitution r = 2^u.  zero_exp: algebraic exponent of fn at r -> 0
     (None = probe).
 
-    Returns (results, raised): each member's (value, error, status) in
-    order, status 'finite', 'unreliable' (a piece hit the quadrature's cell
-    cap) or 'divergent', and the exception of the member that raised, if
-    any.  As in a loop over the members, the results end at the first
-    divergent member, or just before the first one whose integration
-    raised.  Callers raise raised.pop(), so that no frame the exception
-    passes through still holds it (that would be a reference cycle).
+    Returns the members' outcomes as integrate_intervals does: each
+    member's (value, error, status) in order, status 'finite',
+    'unreliable' (a piece hit the quadrature's cell cap) or 'divergent',
+    ending at the first divergent member or with the kept exception of the
+    first one whose integration raised (see quad._raise_kept).
     """
     pieces, owner, in_log2 = [], [], []
     count = [0] * len(members)
@@ -212,15 +211,15 @@ def _radial_integrals(fn, members, zero_exp: float | None = None,
         for _ in range(count[k]):
             res = next(results)
             if isinstance(res, Exception):
-                return out, [res]
+                return out + [res]
             if res.divergent:
-                return out + [(math.inf, math.inf, "divergent")], []
+                return out + [(math.inf, math.inf, "divergent")]
             value += res.value
             err += res.abs_error_estimate
             if res.status == "max-cells-reached":
                 status = "unreliable"
         out.append((value, err, status))
-    return out, []
+    return out
 
 
 def _analytic_tail(fn, tail_exp: float | None, T: float):
@@ -258,11 +257,8 @@ def _radial_lp(integrand, sphere: float, p: float, lo: float, hi: float,
     infinite range: at T = max(lo, 2^40).  Up to T the range is integrated,
     and tail(T) gives (value, error) of the rest, or None if it diverges."""
     T = max(lo, _TAIL_RADIUS) if hi == math.inf else hi
-    results, raised = _radial_integrals(integrand, [(lo, T, breakpoints)],
-                                        zero_exp=zero_exp, tol=tol)
-    if raised:
-        raise raised.pop()
-    (moment, err, status), = results
+    (moment, err, status), = _raise_kept(_radial_integrals(
+        integrand, [(lo, T, breakpoints)], zero_exp=zero_exp, tol=tol))
     if status == "divergent":
         return _divergent("radial-quadrature")
     if hi == math.inf:
@@ -435,11 +431,8 @@ def central_morrey_norm(f: RadialFunction, w: Weight, p: float, lam: float,
             return np.abs(f.profile_at(r)) ** p * r ** (dpa - 1.0)
 
         cuts = [b for b in (f.inner_cutoff, f.outer_cutoff) if b]
-        results, raised = _radial_integrals(
-            integrand, [(min(lo, R), min(hi, R), cuts) for R in radii])
-        if raised:
-            raise raised.pop()
-        moments = [(sphere * v, sphere * e, status) for v, e, status in results]
+        moments = [(sphere * v, sphere * e, status) for v, e, status in _raise_kept(
+            _radial_integrals(integrand, [(min(lo, R), min(hi, R), cuts) for R in radii]))]
     else:
         coeff, gamma = pw
         E = p * gamma + w.d + w.degree
@@ -510,16 +503,15 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
         rel = 4.0 * np.finfo(float).eps * (1.0 + abs(log_moment) / q + abs(math.log(dpa)))
         return _sup_over_grid(radii, brackets.tolist(), (rel * brackets).tolist())
     capped = False
-    mean_raised = []  # the exception of the first mean that raised, if any
 
     def signed(r, _k):
         return b.profile_at(r) * r ** (dpa - 1.0)
 
-    results, mean_raised = _radial_integrals(signed, [(0.0, R, ()) for R in radii])
+    mean_outcomes = _radial_integrals(signed, [(0.0, R, ()) for R in radii])
     means = []
-    for mass, (val, _, status) in zip(masses, results):
-        if status == "divergent":
-            break
+    # up to the first divergent mean or kept exception, with no local bound to it
+    for mass, (val, _, status) in zip(masses, itertools.takewhile(
+            lambda res: isinstance(res, tuple) and res[2] != "divergent", mean_outcomes)):
         capped |= status == "unreliable"
         means.append(sphere * val / mass)
 
@@ -533,15 +525,12 @@ def cmo_norm(b: RadialFunction, w: Weight, q: float, lam: float = 0.0,
         kink = math.exp(m) if b.is_log else None
         members.append((0.0, R, [kink] if kink and 0 < kink < R else []))
     # the oscillation of each radius comes before the mean of the next
-    results, raised = _radial_integrals(osc, members)
-    if raised:
-        raise raised.pop()
-    brackets = _brackets(masses, [(sphere * v, sphere * e, status) for v, e, status in results],
+    brackets = _brackets(masses, [(sphere * v, sphere * e, status) for v, e, status
+                                  in _raise_kept(_radial_integrals(osc, members))],
                          q, lam, capped)
     if brackets is None:
         return _divergent("radial-quadrature")
-    if mean_raised:
-        raise mean_raised.pop()
+    _raise_kept(mean_outcomes)
     if len(means) < len(radii):  # a mean diverged
         return _divergent("radial-quadrature")
     return _sup_over_grid(radii, *brackets)
@@ -590,12 +579,9 @@ def _offcenter_ball_integral(h, w: Weight, center_radius: float, radius: float,
     breaks = [x for x in (abs(R0 - radius), radius - R0, 1.0, log_kink)
               if x is not None and lo < x < hi]
     zero_exp = alpha + d - 1.0 if lo == 0.0 else None
-    results, raised = _radial_integrals(
+    (value, err, status), = _raise_kept(_radial_integrals(
         lambda r, _k: integrand(r), [(lo, hi, sorted(set(breaks)))],
-        zero_exp=zero_exp, zero_logs=1, tol=1e-9)
-    if raised:
-        raise raised.pop()
-    (value, err, status), = results
+        zero_exp=zero_exp, zero_logs=1, tol=1e-9))
     if status == "divergent":
         raise DivergentWeightError("off-center weight integral diverged")
     return surface * value, status

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,18 @@ def diagonal_scenario(p=(4, 4), d=1, lam=None, q=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def no_reference_cycles():
+    """Collect, then run the test with the collector disabled, and assert
+    that it left no garbage for the collector: an exception raised again
+    whose traceback passes a frame that still holds it closes a reference
+    cycle, and the frames and the arrays they hold wait for a collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

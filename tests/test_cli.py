@@ -111,6 +111,38 @@ def test_fuzz_seed_zero_is_used(tmp_path):
     assert report["seed"] == report["results"]["fuzz"]["seed"] == 0
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_a_non_positive_tol_override_is_an_input_error(tmp_path, tol):
+    # a tolerance no error bar can meet would run every integral to its cap
+    out = tmp_path / "report.json"
+    code = main(["constant", str(SCENARIOS / "bilinear-quarter.json"), "-o", str(out),
+                 f"--tol-override={tol}"])
+    doc = read(out)
+    assert code == doc["exit_code"] == EXIT_INPUT
+    assert doc["error"] == f"--tol-override must be positive, not {float(tol)}"
+
+
+def test_expecting_divergence_of_a_finite_constant_fails(tmp_path):
+    doc = read(SCENARIOS / "hardy-p2.json")
+    doc["task"]["params"]["expect"] = "divergent"
+    path = tmp_path / "expect-divergent.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run("constant", path, out, {"no_timestamp": True}) == EXIT_FAIL
+    report = read(out)
+    assert report["results"]["constant"]["value"] == pytest.approx(2.0)
+    assert report["checks"][0] == {"name": "finite", "passed": False}
+    assert report["passed"] is False
+
+
+def test_a_report_with_a_timestamp_records_when_and_how_long(tmp_path):
+    out = tmp_path / "report.json"
+    assert run("constant", SCENARIOS / "hardy-p2.json", out, {}) == EXIT_PASS
+    doc = read(out)
+    assert doc["timestamp"].endswith("Z") and len(doc["timestamp"]) == 20
+    assert 0.0 <= doc["elapsed_s"] < 60.0
+
+
 def test_expected_value_failure(tmp_path):
     doc = read(SCENARIOS / "hardy-p2.json")
     doc["task"]["params"]["expected_value"] = 3.0
@@ -345,6 +377,34 @@ def test_suite_over_bundled_dir(tmp_path):
     rep = read(out)
     assert rep["passed"] is True
     assert len(rep["scenarios"]) >= 8
+
+
+def test_suite_reports_an_invalid_scenario_file_as_an_input_error(tmp_path):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    shutil.copy(SCENARIOS / "hardy-p2.json", scenarios)
+    (scenarios / "broken.json").write_text("{ not json")
+    out = tmp_path / "suite.json"
+    assert run_suite(scenarios, out, {"no_timestamp": True}) == EXIT_INPUT
+    rows = read(out)["scenarios"]
+    assert [(r["scenario"], r.get("status")) for r in rows] == \
+        [("broken.json", "input-error"), ("hardy-p2.json", None)]
+    assert rows[1]["passed"] is True
+
+
+def test_suite_with_a_failing_scenario_fails(tmp_path):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    shutil.copy(SCENARIOS / "hardy-divergent-p1.json", scenarios)
+    doc = read(SCENARIOS / "hardy-p2.json")
+    doc["task"]["params"]["expected_value"] = 3.0
+    (scenarios / "wrong.json").write_text(json.dumps(doc))
+    out = tmp_path / "suite.json"
+    assert run_suite(scenarios, out, {"no_timestamp": True}) == EXIT_FAIL
+    report = read(out)
+    assert [(r["scenario"], r["exit_code"], r["passed"]) for r in report["scenarios"]] == \
+        [("hardy-divergent-p1.json", EXIT_DIVERGENT, True), ("wrong.json", EXIT_FAIL, False)]
+    assert report["passed"] is False
 
 
 def test_suite_output_without_suffix_is_a_directory(tmp_path):

@@ -252,6 +252,18 @@ def test_commutator_witness_two_slots_separable():
     assert rep["witness_integral"] == pytest.approx(want, rel=1e-12)
 
 
+def test_commutator_witness_unbalanced_output_fails():
+    # alpha = (0, 0.5): the output exponent sum_k (d + alpha_k) lambda_k = -0.25
+    # is not (d + alpha) lambda_out = -0.225, so the Morrey supremum is unbounded
+    k = KernelSpec(m=2, n=2, psi=parse("1", 2), s=(parse("t1", 2), parse("t2", 2)), beta=1.0)
+    s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0), isotropic(1, 0.5)), p=(4, 4),
+                 q=(4, 4), lam=(-0.1, -0.1), mode="commutator")
+    rep = commutator_witness_check(s)
+    assert rep["ratio"]["balanced"] is False
+    assert rep["ratio"]["ok"] is False
+    assert rep["passed"] is False
+
+
 def test_commutator_witness_zero_density():
     k = KernelSpec(m=1, n=1, psi=parse("0", 1), s=(parse("t1", 1),))
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(3,), q=(6,),

@@ -10,7 +10,7 @@ from hardylab.spaces import (RadialFunction, RadiusGridError, _analytic_tail,
                              _cap_fraction, _radial_integrals, _sup_over_grid,
                              central_morrey_norm, cmo_norm, log_bmo_check, lp_norm,
                              make_witness_lp, log_profile, power_profile)
-from hardylab.weights import isotropic
+from hardylab.weights import Weight, isotropic
 
 from conftest import diagonal_scenario, hardy_scenario
 
@@ -460,6 +460,28 @@ def test_cmo_norm_raises_a_mean_that_raised_after_the_oscillations():
     # with r^-0.8 the oscillation of a radius before it diverges first
     res = cmo_norm(RadialFunction(parse("pow(r, -0.8) * log(3 - r)", 0)), w, 2.0)
     assert res.status == "divergent"
+
+
+_RAISES_PAST_3 = RadialFunction(parse("pow(r, 0.5) * log(3 - r)", 0))
+
+
+@pytest.mark.parametrize("norm", [
+    lambda f, w: lp_norm(f, w, 2.0),
+    lambda f, w: central_morrey_norm(f, w, 2.0, -0.25),
+    lambda f, w: cmo_norm(f, w, 2.0),  # its mean raises after the oscillations
+], ids=["lebesgue", "morrey", "cmo"])
+def test_raising_norms_leave_no_reference_cycles(norm, no_reference_cycles):
+    # the integral of a radius past 3 raises: the kept exception is raised
+    # again with a new traceback, and no frame of it may still hold it
+    with pytest.raises(DomainError):
+        norm(_RAISES_PAST_3, isotropic(1, 0.0))
+
+
+def test_lp_norm_with_a_divergent_weight_is_divergent():
+    # |x_1|^-1 on the plane: the weight's sphere integral diverges
+    w = Weight(d=2, degree=0.0, kind="power-x1", e=-1.0)
+    res = lp_norm(power_profile(-1.5, inner_cutoff=1.0), w, 2.0)
+    assert (res.method, res.status, res.value) == ("closed-form", "divergent", math.inf)
 
 
 # d + alpha = 0.6, 1, 2.3 and 4
