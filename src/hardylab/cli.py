@@ -40,14 +40,13 @@ import numpy as np
 
 from . import __version__
 from . import harness
-from .constants import KIND_ALIASES, compute_constant
-from .expr import ExprSyntaxError, parse
+from .constants import compute_constant
+from .expr import DomainError, ExprSyntaxError, parse
 from .kernels import (KernelSpec, Scenario, check_beta_condition,
                       check_morrey_balance, check_walpha_condition)
 from .operators import OperatorInstance, apply
 from .quad import SingularityHints
-from .spaces import (RadialFunction, RadiusGridError, central_morrey_norm, cmo_norm,
-                     lp_norm)
+from .spaces import RadialFunction, central_morrey_norm, cmo_norm, lp_norm
 from .weights import Weight
 
 COMMANDS = ("constant", "eval", "norms", "check-conditions", "sharpness",
@@ -124,15 +123,8 @@ def load_scenario(path: Path) -> tuple[Scenario, dict, dict]:
         p = tuple(exps["p"])
         q = tuple(exps.get("q") or ())
         lam = tuple(exps.get("lambda") or ())
-        if q:
-            mode = "commutator"
-        elif lam:
-            mode = "morrey"
-        else:
-            mode = "lebesgue"
         weights = tuple(_build_weight(d, wspec) for wspec in doc["weights"])
-        scenario = Scenario(d=d, kernel=kernel, weights=weights, p=p, q=q,
-                            lam=lam, mode=mode)
+        scenario = Scenario(d=d, kernel=kernel, weights=weights, p=p, q=q, lam=lam)
         scenario.p_out_exact()  # reads every p_k and q_k exactly, as the report does
         task = doc.get("task", {})
         return scenario, task, doc
@@ -249,10 +241,7 @@ def write_report(report: dict, output: Path | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_constant(scenario, params, flags):
-    kind = params.get("kind", "lebesgue")
-    if kind not in KIND_ALIASES and kind not in set(KIND_ALIASES.values()):
-        raise ScenarioError(f"unknown constant kind {kind!r}")
-    c = compute_constant(kind, scenario, tol=flags.get("tol"),
+    c = compute_constant(params.get("kind", "lebesgue"), scenario, tol=flags.get("tol"),
                          force_quadrature=bool(params.get("force_quadrature", False)))
     checks = []
     code = EXIT_PASS
@@ -276,19 +265,10 @@ def _cmd_constant(scenario, params, flags):
     return {"constant": c}, checks, code
 
 
-def _instance_from_params(scenario, params) -> OperatorInstance:
-    inputs = tuple(_build_radial(spec) for spec in params.get("inputs", []))
-    symbols = tuple(_build_radial(spec) for spec in params.get("symbols", []))
-    mode = "plain"
-    if scenario.kernel.domain == "positive-orthant":
-        mode = "hausdorff"
-    if symbols:
-        mode = "commutator"
-    return OperatorInstance(scenario, inputs, symbols, mode=mode)
-
-
 def _cmd_eval(scenario, params, flags):
-    inst = _instance_from_params(scenario, params)
+    inst = OperatorInstance(
+        scenario, tuple(_build_radial(spec) for spec in params.get("inputs", [])),
+        tuple(_build_radial(spec) for spec in params.get("symbols", [])))
     points = params.get("points")
     if not points:
         raise ScenarioError("eval needs task.params.points")
@@ -413,25 +393,41 @@ _DISPATCH = {
 }
 
 
+def _check_flags(flags: dict) -> None:
+    """Reject a --tol-override that is not positive and a --radii-J below 1."""
+    tol, J = flags.get("tol"), flags.get("radii_J")
+    if tol is not None and not tol > 0.0:
+        raise ScenarioError(f"--tol-override must be positive, not {tol}")
+    if J is not None and J < 1:
+        raise ScenarioError(f"--radii-J must be at least 1, got J = {J}")
+
+
+def _input_error(command: str, exc: ValueError, output_path) -> int:
+    """Write the report of an input error and return its exit code."""
+    report = {"tool": "hardylab", "version": __version__, "command": command,
+              "error": str(exc), "exit_code": EXIT_INPUT}
+    write_report(report, output_path)
+    return EXIT_INPUT
+
+
 def run(command: str, scenario_path, output_path=None, flags=None) -> int:
-    """Execute one command against one scenario file; write the report."""
+    """Execute one command against one scenario file; write the report.  A
+    ValueError other than a DomainError is an input error (exit 3)."""
     flags = dict(flags or {})
     t0 = time.time()
     try:
         if command not in _DISPATCH:
             raise ScenarioError(f"unknown command {command!r}")
-        if flags.get("tol") is not None and not flags["tol"] > 0.0:
-            raise ScenarioError(f"--tol-override must be positive, not {flags['tol']}")
+        _check_flags(flags)
         scenario, task, doc = load_scenario(Path(scenario_path))
         params = dict(task.get("params", {}))
         if flags.get("seed") is None and "seed" in task:
             flags["seed"] = task["seed"]
         results, checks, code = _DISPATCH[command](scenario, params, flags)
-    except (ScenarioError, RadiusGridError) as exc:  # RadiusGridError: a bad --radii-J
-        report = {"tool": "hardylab", "version": __version__, "command": command,
-                  "error": str(exc), "exit_code": EXIT_INPUT}
-        write_report(report, output_path)
-        return EXIT_INPUT
+    except DomainError:
+        raise
+    except ValueError as exc:
+        return _input_error(command, exc, output_path)
 
     report = {
         "tool": "hardylab",
@@ -482,6 +478,10 @@ def run_suite(scenario_dir, output_path=None, flags=None) -> int:
         report_dir.mkdir(parents=True, exist_ok=True)
         if not summary_path.suffix:
             summary_path = report_dir / "suite.json"
+    try:
+        _check_flags(flags)
+    except ScenarioError as exc:
+        return _input_error("suite", exc, summary_path)
     for path in files:
         try:
             _, task, _ = load_scenario(path)

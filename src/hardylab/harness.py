@@ -366,9 +366,7 @@ def morrey_extremal_check(s: Scenario, tol: float = 1e-3,
         return {"passed": False, "reason": "morrey constant diverges",
                 "constant": math.inf,
                 "balance_sufficiency": suff, "balance_necessity": nec}
-    inputs = tuple(power_profile((s.d + w.degree) * lk)
-                   for w, lk in zip(s.weights, s.lam))
-    inst = OperatorInstance(s, inputs)
+    inst = OperatorInstance(s, tuple(power_profile(g) for g in B.slot_exponents))
     coeff, exponent = apply_radial_closed_form(inst)
     out_profile = power_profile(exponent, coeff=coeff.value)
     norm = central_morrey_norm(out_profile, s.omega, s.p_out, s.lam_out,
@@ -433,10 +431,9 @@ def commutator_witness_check(s: Scenario, tol_pointwise: float = 1e-4,
     """
     if s.mode != "commutator":
         raise ValueError("commutator_witness_check needs a commutator-mode scenario")
-    inputs = tuple(power_profile((s.d + w.degree) * lk)
-                   for w, lk in zip(s.weights, s.lam))
-    symbols = tuple(log_profile() for _ in range(s.m))
-    inst = OperatorInstance(s, inputs, symbols, mode="commutator")
+    C = compute_constant("commutator-power", s)
+    inputs = tuple(power_profile(g) for g in C.slot_exponents)
+    inst = OperatorInstance(s, inputs, tuple(log_profile() for _ in range(s.m)))
     coeff, exponent = apply_radial_closed_form(inst)
     witness_integral = coeff.value
 
@@ -485,7 +482,6 @@ def commutator_witness_check(s: Scenario, tol_pointwise: float = 1e-4,
 
     # (c) finiteness transfer to the log-weighted constant
     D = compute_constant("commutator-log", s)
-    C = compute_constant("commutator-power", s)
     separation = _kernel_separation(s.kernel)
     finiteness_ok = True
     if separation["separated"]:

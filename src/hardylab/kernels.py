@@ -201,12 +201,12 @@ class KernelSpec:
                 )
 
 
-_MODES = ("lebesgue", "morrey", "commutator")
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """A full problem instance: geometry, kernel, weights and exponents."""
+    """A full problem instance: geometry, kernel, weights and exponents.
+
+    The exponents given decide the mode: 'commutator' when q is given,
+    'morrey' when only lambda is, else 'lebesgue'."""
 
     d: int
     kernel: KernelSpec
@@ -214,11 +214,8 @@ class Scenario:
     p: tuple
     q: tuple = ()
     lam: tuple = ()
-    mode: str = "lebesgue"
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         if len(self.weights) != self.kernel.m or len(self.p) != self.kernel.m:
             raise ValueError("need one weight and one exponent p_k per slot")
         if any(w.d != self.d for w in self.weights):
@@ -226,10 +223,9 @@ class Scenario:
         for k in range(self.m):
             if not 1 <= self.slot_p(k):
                 raise ValueError("p_k must satisfy 1 <= p_k < infinity")
-        if self.mode == "commutator":
-            if len(self.q) != self.kernel.m:
-                raise ValueError("commutator mode needs one q_k per slot")
-        if self.mode in ("morrey", "commutator"):
+        if self.q and len(self.q) != self.kernel.m:
+            raise ValueError("commutator mode needs one q_k per slot")
+        if self.mode != "lebesgue":
             if len(self.lam) != self.kernel.m:
                 raise ValueError(f"{self.mode} mode needs one lambda_k per slot")
             for k, lk in enumerate(self.lam):
@@ -238,6 +234,12 @@ class Scenario:
                         f"lambda_k={lk} outside the nontrivial range [-1/p_k, 0)"
                     )
 
+    @property
+    def mode(self) -> str:
+        if self.q:
+            return "commutator"
+        return "morrey" if self.lam else "lebesgue"
+
     # -- derived exponents ----------------------------------------------------
 
     @property
@@ -245,10 +247,7 @@ class Scenario:
         return self.kernel.m
 
     def p_out_exact(self) -> Fraction:
-        inv = sum((1 / Fraction(pk) for pk in self.p), Fraction(0))
-        if self.mode == "commutator":
-            inv += sum((1 / Fraction(qk) for qk in self.q), Fraction(0))
-        return 1 / inv
+        return 1 / sum((1 / Fraction(x) for x in (*self.p, *self.q)), Fraction(0))
 
     @property
     def p_out(self) -> float:

@@ -38,33 +38,34 @@ from .spaces import RadialFunction
 __all__ = ["OperatorInstance", "apply", "apply_radial_closed_form",
            "power_log_moment", "separable_profile"]
 
-_MODES = ("plain", "hausdorff", "commutator")
-
-
 @dataclass(frozen=True)
 class OperatorInstance:
-    """A scenario bound to concrete inputs (and symbols, in commutator mode)."""
+    """A scenario bound to concrete inputs, and to symbols for a commutator.
+
+    The inputs decide the mode: 'commutator' when symbols are given, else
+    'hausdorff' on a positive-orthant kernel and 'plain' on a unit-cube one."""
 
     scenario: Scenario
     inputs: tuple
     symbols: tuple = ()
-    mode: str = "plain"
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         m = self.scenario.kernel.m
         if len(self.inputs) != m:
             raise ValueError(f"expected {m} inputs, got {len(self.inputs)}")
-        if self.mode == "hausdorff" and self.scenario.kernel.domain != "positive-orthant":
-            raise ValueError("hausdorff mode requires a positive-orthant kernel")
-        if self.mode != "hausdorff" and self.scenario.kernel.domain != "unit-cube":
-            raise ValueError(f"{self.mode} mode requires a unit-cube kernel")
-        if self.mode == "commutator":
+        if self.symbols:
             if len(self.symbols) != m:
                 raise ValueError("commutator mode needs one symbol per slot")
-        elif self.symbols:
-            raise ValueError("symbols are only meaningful in commutator mode")
+            if self.scenario.kernel.domain != "unit-cube":
+                raise ValueError("commutator mode requires a unit-cube kernel")
+
+    @property
+    def mode(self) -> str:
+        if self.symbols:
+            return "commutator"
+        if self.scenario.kernel.domain == "positive-orthant":
+            return "hausdorff"
+        return "plain"
 
 
 def power_log_moment(b: float, m: int, lo, hi):
@@ -326,9 +327,8 @@ def apply(inst: OperatorInstance, x, tol: float | None = None,
             return QuadResult(math.inf, math.inf, math.inf, "divergent", 0)
         return QuadResult(exact, abs(exact) * 1e-15, 1e-15, "converged", 0)
 
-    sym_at_x = None
-    if inst.mode == "commutator":
-        sym_at_x = [float(_slot_eval(b, x[None, :])[0]) for b in inst.symbols]
+    commutator = inst.mode == "commutator"
+    sym_at_x = [float(_slot_eval(b, x[None, :])[0]) for b in inst.symbols]
 
     def integrand(tpts: np.ndarray) -> np.ndarray:
         # on tensor panels the values come per axis (see quad.TensorPoints): a
@@ -338,7 +338,7 @@ def apply(inst: OperatorInstance, x, tol: float | None = None,
             s_vals = _expr.evaluate(kernel.s[k], t=tpts)
             pts = s_vals.reshape(-1)[:, None] * x
             vals = vals * _slot_eval(inst.inputs[k], pts).reshape(s_vals.shape)
-            if inst.mode == "commutator":
+            if commutator:
                 b_vals = _slot_eval(inst.symbols[k], pts).reshape(s_vals.shape)
                 vals = vals * (sym_at_x[k] - b_vals)
         return vals
@@ -352,7 +352,7 @@ def apply(inst: OperatorInstance, x, tol: float | None = None,
     for f in inst.inputs:
         pw = f.power_form() if isinstance(f, RadialFunction) else None
         gammas.append(None if pw is None else pw[1])
-    hints = kernel.plan.hints(gammas, inst.mode == "commutator")
+    hints = kernel.plan.hints(gammas, commutator)
     breaks = _cutoff_breakpoints(inst, xr)
     return integrate_unit_cube(integrand, kernel.n, sing=hints, tol=tol,
                                breakpoints=breaks, max_cells=max_cells)
@@ -377,10 +377,9 @@ def apply_radial_closed_form(inst: OperatorInstance) -> tuple[QuadResult, float]
         if pw is None or f.inner_cutoff is not None or f.outer_cutoff is not None:
             raise ValueError("closed-form route needs pure power profiles")
         exponent += pw[1]
-    if inst.mode == "commutator":
-        for b in inst.symbols:
-            if not (isinstance(b, RadialFunction) and b.is_log):
-                raise ValueError("closed-form commutator route needs log symbols")
+    for b in inst.symbols:
+        if not (isinstance(b, RadialFunction) and b.is_log):
+            raise ValueError("closed-form commutator route needs log symbols")
     unit = np.zeros(inst.scenario.d)
     unit[0] = 1.0
     return apply(inst, unit), exponent

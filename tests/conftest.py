@@ -19,13 +19,8 @@ def diagonal_scenario(p=(4, 4), d=1, lam=None, q=None):
         m=m, n=m, psi=parse("1", m),
         s=tuple(parse(f"t{k+1}", m) for k in range(m)), beta=1.0,
     )
-    mode = "lebesgue"
-    if q:
-        mode = "commutator"
-    elif lam:
-        mode = "morrey"
     return Scenario(d=d, kernel=kernel, weights=tuple(isotropic(d, 0.0) for _ in p),
-                    p=tuple(p), q=tuple(q or ()), lam=tuple(lam or ()), mode=mode)
+                    p=tuple(p), q=tuple(q or ()), lam=tuple(lam or ()))
 
 
 @pytest.fixture

@@ -125,7 +125,7 @@ def test_criterion_06_morrey_extremal():
 def test_criterion_07_commutator_witness():
     k = KernelSpec(m=1, n=1, psi=parse("1", 1), s=(parse("t1", 1),), beta=1.0)
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(3,), q=(6,),
-                 lam=(-0.25,), mode="commutator")
+                 lam=(-0.25,))
     rep = commutator_witness_check(s, tol_pointwise=1e-4)
     integral_rel = abs(rep["witness_integral"] - 16.0 / 9.0) * 9.0 / 16.0
     # independent log-moment value through the quadrature route as well

@@ -370,6 +370,77 @@ def test_bad_radii_J_is_an_input_error(tmp_path, J):
     assert doc["error"].endswith(f"J = {J}")
 
 
+def _hardy_p2_task(command, params, drop_beta=False):
+    doc = read(SCENARIOS / "hardy-p2.json")
+    doc["task"] = {"command": command, "params": params}
+    if drop_beta:
+        del doc["kernel"]["beta"]
+    return doc
+
+
+LIBRARY_INPUT_ERRORS = {
+    "orthant-kind-on-cube": (
+        _hardy_p2_task("constant", {"kind": "lebesgue-hausdorff"}),
+        "kind 'lebesgue-hausdorff' requires a positive-orthant kernel"),
+    "sharpness-without-beta": (
+        _hardy_p2_task("sharpness", {}, drop_beta=True),
+        "sharpness sweeps need a kernel with a declared beta"),
+    "morrey-extremal-on-lebesgue": (
+        _hardy_p2_task("morrey-extremal", {}),
+        "morrey_extremal_check needs a morrey-mode scenario"),
+    "eval-two-inputs-for-m1": (
+        _hardy_p2_task("eval", {"inputs": [{"profile": "r^(-0.2)"}] * 2,
+                                "points": [[1.0]]}),
+        "expected 1 inputs, got 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_INPUT_ERRORS))
+def test_a_library_input_check_is_an_input_error(tmp_path, case):
+    doc, reason = LIBRARY_INPUT_ERRORS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run(doc["task"]["command"], path, out, {"no_timestamp": True}) == EXIT_INPUT
+    assert read(out) == {"tool": "hardylab", "version": hardylab.__version__,
+                         "command": doc["task"]["command"], "error": reason,
+                         "exit_code": EXIT_INPUT}
+
+
+def test_suite_reports_a_library_input_error_as_a_failed_row(tmp_path):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    shutil.copy(SCENARIOS / "hardy-p2.json", scenarios)
+    doc, _ = LIBRARY_INPUT_ERRORS["eval-two-inputs-for-m1"]
+    (scenarios / "bad-eval.json").write_text(json.dumps(doc))
+    out = tmp_path / "suite.json"
+    assert run_suite(scenarios, out, {"no_timestamp": True}) == EXIT_FAIL
+    assert [(r["scenario"], r["exit_code"], r["passed"]) for r in read(out)["scenarios"]] \
+        == [("bad-eval.json", EXIT_INPUT, False), ("hardy-p2.json", EXIT_PASS, True)]
+
+
+@pytest.mark.parametrize("flag, error", [
+    ("--tol-override=0", "--tol-override must be positive, not 0.0"),
+    ("--radii-J=0", "--radii-J must be at least 1, got J = 0"),
+])
+def test_bad_flags_are_an_input_error_for_every_command(tmp_path, flag, error):
+    # checked before any scenario is read, so a command that never reads
+    # the flag, and a suite, refuse it too
+    out = tmp_path / "report.json"
+    assert main(["constant", str(SCENARIOS / "hardy-p2.json"), "-o", str(out),
+                 flag]) == EXIT_INPUT
+    assert read(out)["error"] == error
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    shutil.copy(SCENARIOS / "hardy-p2.json", scenarios)
+    summary = tmp_path / "suite.json"
+    assert main(["suite", str(scenarios), "-o", str(summary), flag]) == EXIT_INPUT
+    assert read(summary) == {"tool": "hardylab", "version": hardylab.__version__,
+                             "command": "suite", "error": error,
+                             "exit_code": EXIT_INPUT}
+    assert not (tmp_path / "suite" / "hardy-p2.json").exists()
+
+
 def test_suite_over_bundled_dir(tmp_path):
     out = tmp_path / "suite.json"
     code = run_suite(SCENARIOS, out, {"no_timestamp": True})

@@ -195,7 +195,7 @@ def test_morrey_extremal_balanced_two_slots():
 def test_morrey_extremal_single_slot_any_weight():
     k = KernelSpec(m=1, n=1, psi=parse("1", 1), s=(parse("t1", 1),), beta=1.0)
     s = Scenario(d=2, kernel=k, weights=(isotropic(2, 0.5),), p=(2,),
-                 lam=(-0.3,), mode="morrey")
+                 lam=(-0.3,))
     rep = morrey_extremal_check(s, tol=1e-6)
     assert rep["passed"]
     assert rep["normalization"] == pytest.approx(1.0, rel=1e-12)
@@ -206,7 +206,7 @@ def test_morrey_extremal_zero_density_kernel():
     # all 0, and their relative gap is 0, not a division by zero
     k = KernelSpec(m=1, n=1, psi=parse("0", 1), s=(parse("t1", 1),))
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,),
-                 lam=(-0.25,), mode="morrey")
+                 lam=(-0.25,))
     rep = morrey_extremal_check(s)
     assert rep["constant"] == 0.0 and rep["expected"] == 0.0
     assert rep["operator_norm"] == 0.0 and rep["norm_status"] == "finite"
@@ -234,7 +234,7 @@ def test_morrey_extremal_records_printed_variants():
 def test_commutator_witness_single_slot():
     k = KernelSpec(m=1, n=1, psi=parse("1", 1), s=(parse("t1", 1),), beta=1.0)
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(3,), q=(6,),
-                 lam=(-0.25,), mode="commutator")
+                 lam=(-0.25,))
     rep = commutator_witness_check(s)
     assert rep["passed"]
     assert rep["witness_integral"] == pytest.approx(16.0 / 9.0, rel=1e-12)
@@ -257,7 +257,7 @@ def test_commutator_witness_unbalanced_output_fails():
     # is not (d + alpha) lambda_out = -0.225, so the Morrey supremum is unbounded
     k = KernelSpec(m=2, n=2, psi=parse("1", 2), s=(parse("t1", 2), parse("t2", 2)), beta=1.0)
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0), isotropic(1, 0.5)), p=(4, 4),
-                 q=(4, 4), lam=(-0.1, -0.1), mode="commutator")
+                 q=(4, 4), lam=(-0.1, -0.1))
     rep = commutator_witness_check(s)
     assert rep["ratio"]["balanced"] is False
     assert rep["ratio"]["ok"] is False
@@ -267,7 +267,7 @@ def test_commutator_witness_unbalanced_output_fails():
 def test_commutator_witness_zero_density():
     k = KernelSpec(m=1, n=1, psi=parse("0", 1), s=(parse("t1", 1),))
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(3,), q=(6,),
-                 lam=(-0.25,), mode="commutator")
+                 lam=(-0.25,))
     rep = commutator_witness_check(s)
     assert rep["witness_integral"] == 0.0
     assert rep["pointwise_worst_rel"] == 0.0
@@ -383,7 +383,7 @@ def test_morrey_extremal_check_reports_a_divergent_constant():
     # psi = t^{-0.9} and (d + alpha) lambda = -0.25: the exponent -1.15 diverges
     k = KernelSpec(m=1, n=1, psi=parse("t1^-0.9", 1), s=(parse("t1", 1),))
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,),
-                 lam=(-0.25,), mode="morrey")
+                 lam=(-0.25,))
     rep = morrey_extremal_check(s)
     assert not rep["passed"]
     assert rep["reason"] == "morrey constant diverges"

@@ -212,7 +212,7 @@ def test_morrey_balance_unit_weights_equal_products():
 def test_morrey_balance_single_slot_trivial():
     k = KernelSpec(m=1, n=1, psi=parse("1", 1), s=(parse("t1", 1),))
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.4),), p=(2,),
-                 lam=(-0.3,), mode="morrey")
+                 lam=(-0.3,))
     for direction in ("sufficiency", "necessity"):
         rep = check_morrey_balance(s, direction)
         assert rep.passed
@@ -234,10 +234,22 @@ def test_scenario_validation():
         Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(0.5,))
     with pytest.raises(ValueError):
         Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,),
-                 lam=(-0.9,), mode="morrey")  # outside [-1/p, 0)
-    with pytest.raises(ValueError):
-        Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,),
-                 mode="commutator")  # q missing
+                 lam=(-0.9,))  # outside [-1/p, 0)
+
+
+def test_scenario_mode_is_read_off_the_exponents():
+    k = KernelSpec(m=1, n=1, psi=parse("1", 1), s=(parse("t1", 1),))
+    w = (isotropic(1, 0.0),)
+    s = Scenario(d=1, kernel=k, weights=w, p=(3,), q=(6,), lam=(-0.25,))
+    assert (s.mode, s.p_out, s.lam_out) == ("commutator", 2.0, -0.25)
+    assert Scenario(d=1, kernel=k, weights=w, p=(3,), lam=(-0.25,)).mode == "morrey"
+    assert Scenario(d=1, kernel=k, weights=w, p=(3,)).mode == "lebesgue"
+    with pytest.raises(ValueError, match="lambda_k per slot"):
+        Scenario(d=1, kernel=k, weights=w, p=(3,), q=(6,))
+    with pytest.raises(ValueError, match="q_k per slot"):
+        Scenario(d=1, kernel=k, weights=w, p=(3,), q=(6, 6), lam=(-0.25,))
+    with pytest.raises(TypeError):
+        Scenario(d=1, kernel=k, weights=w, p=(3,), mode="lebesgue")
 
 
 def test_commutator_lambda_is_plain_sum_and_morrey_weighted():
@@ -248,7 +260,7 @@ def test_commutator_lambda_is_plain_sum_and_morrey_weighted():
     # unequal degrees make the morrey weighting nontrivial
     k = KernelSpec(m=2, n=2, psi=parse("1", 2), s=(parse("t1", 2), parse("t2", 2)))
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 1.0), isotropic(1, 0.0)),
-                 p=(4, 4), lam=(-0.1, -0.1), mode="morrey")
+                 p=(4, 4), lam=(-0.1, -0.1))
     dpa = 1 + s.alpha
     want = (1 + 1.0) / dpa * -0.1 + (1 + 0.0) / dpa * -0.1
     assert s.lam_out == pytest.approx(want, rel=1e-14)

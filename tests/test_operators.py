@@ -122,9 +122,8 @@ def test_radial_closed_form_vs_quadrature_cross_check():
 def test_commutator_closed_form_log_moment():
     k = KernelSpec(m=1, n=1, psi=parse("1", 1), s=(parse("t1", 1),))
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(3,), q=(6,),
-                 lam=(-0.25,), mode="commutator")
-    inst = OperatorInstance(s, (power_profile(-0.25),), (log_profile(),),
-                            mode="commutator")
+                 lam=(-0.25,))
+    inst = OperatorInstance(s, (power_profile(-0.25),), (log_profile(),))
     coeff, exponent = apply_radial_closed_form(inst)
     assert coeff.value == pytest.approx(16.0 / 9.0, rel=1e-14)
     got = apply(inst, [3.0], force_quadrature=True)
@@ -136,9 +135,8 @@ def test_commutator_with_scaled_dilation_expands_log():
     c = 0.5
     k = KernelSpec(m=1, n=1, psi=parse("1", 1), s=(parse(f"{c}*t1", 1),))
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(3,), q=(6,),
-                 lam=(-0.25,), mode="commutator")
-    inst = OperatorInstance(s, (power_profile(-0.25),), (log_profile(),),
-                            mode="commutator")
+                 lam=(-0.25,))
+    inst = OperatorInstance(s, (power_profile(-0.25),), (log_profile(),))
     coeff, _ = apply_radial_closed_form(inst)
     want = c ** -0.25 * (-math.log(c) * (4.0 / 3.0) + 16.0 / 9.0)
     assert coeff.value == pytest.approx(want, rel=1e-13)
@@ -249,15 +247,26 @@ def test_hausdorff_mode_reciprocal_dilation():
     k = KernelSpec(m=1, n=1, psi=parse("exp(-t1)", 1), s=(parse("1/t1", 1),),
                    domain="positive-orthant")
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,))
-    inst = OperatorInstance(s, (power_profile(-0.5),), mode="hausdorff")
+    inst = OperatorInstance(s, (power_profile(-0.5),))
     got = apply(inst, [4.0])
     assert got.value == pytest.approx(math.gamma(1.5) * 0.5, rel=1e-7)
 
 
-def test_hausdorff_mode_requires_orthant_kernel():
-    s = hardy_scenario()
-    with pytest.raises(ValueError):
-        OperatorInstance(s, (power_profile(0.0),), mode="hausdorff")
+def test_instance_mode_is_read_off_the_kernel_and_symbols():
+    k = KernelSpec(m=1, n=1, psi=parse("exp(-t1)", 1), s=(parse("1/t1", 1),),
+                   domain="positive-orthant")
+    orthant = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,))
+    f = (power_profile(-0.5),)
+    assert OperatorInstance(orthant, f).mode == "hausdorff"
+    assert OperatorInstance(hardy_scenario(), f).mode == "plain"
+    assert OperatorInstance(_commutator_scenario("t1"), f, (log_profile(),)).mode \
+        == "commutator"
+    with pytest.raises(ValueError, match="unit-cube"):
+        OperatorInstance(orthant, f, (log_profile(),))
+    with pytest.raises(ValueError, match="one symbol per slot"):
+        OperatorInstance(hardy_scenario(), f, (log_profile(),) * 2)
+    with pytest.raises(TypeError):
+        OperatorInstance(hardy_scenario(), f, mode="plain")
 
 
 def test_divergent_input_is_flagged():
@@ -290,10 +299,10 @@ def _separable_cases():
     k = KernelSpec(m=2, n=1, psi=parse("t1^0.5", 1),
                    s=(parse("0.5 * t1", 1), parse("t1^-0.8", 1)))
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),) * 2, p=(3, 3),
-                 q=(6, 6), lam=(-0.25, -0.25), mode="commutator")
+                 q=(6, 6), lam=(-0.25, -0.25))
     yield OperatorInstance(s, (power_profile(-0.25, inner_cutoff=1.0),
                                power_profile(-0.1, outer_cutoff=6.0)),
-                           (log_profile(), log_profile()), mode="commutator")
+                           (log_profile(), log_profile()))
     # psi with coefficient 0
     k = KernelSpec(m=1, n=1, psi=parse("0", 1), s=(parse("t1", 1),))
     s = Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(2,))
@@ -319,13 +328,13 @@ def test_separable_profile_matches_pointwise_apply(inst):
 def _commutator_scenario(s_expr: str):
     k = KernelSpec(m=1, n=1, psi=parse("1", 1), s=(parse(s_expr, 1),))
     return Scenario(d=1, kernel=k, weights=(isotropic(1, 0.0),), p=(3,), q=(6,),
-                    lam=(-0.25,), mode="commutator")
+                    lam=(-0.25,))
 
 
 def test_commutator_with_a_non_log_symbol_does_not_separate():
     # b = |y|: int t^{-1/4} (|x| - t |x|) dt |x|^{-1/4} = 16/21 |x|^{3/4}
     inst = OperatorInstance(_commutator_scenario("t1"), (power_profile(-0.25),),
-                            (power_profile(1.0),), mode="commutator")
+                            (power_profile(1.0),))
     assert separable_profile(inst) is None
     assert apply(inst, [2.0]).value == pytest.approx(16.0 / 21.0 * 2.0 ** 0.75, rel=1e-8)
 
@@ -333,7 +342,7 @@ def test_commutator_with_a_non_log_symbol_does_not_separate():
 def test_commutator_with_a_constant_unit_slot_is_zero():
     # s = 1: b(x) - b(s x) = 0 for every symbol
     inst = OperatorInstance(_commutator_scenario("1"), (power_profile(-0.25),),
-                            (log_profile(),), mode="commutator")
+                            (log_profile(),))
     radii = np.geomspace(0.1, 10.0, 5)
     assert separable_profile(inst)(radii).tolist() == [0.0] * 5
     assert apply(inst, [2.0]).value == 0.0
@@ -343,7 +352,7 @@ def test_divergent_commutator_terms_of_both_signs_read_divergent():
     # s = 2 t1, f = |y|^-1.5: -log|s| = -log 2 + log(1/t) splits into two
     # terms, both with the divergent moment of t^-1.5, and of opposite signs
     inst = OperatorInstance(_commutator_scenario("2 * t1"), (power_profile(-1.5),),
-                            (log_profile(),), mode="commutator")
+                            (log_profile(),))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert separable_profile(inst)(np.array([1.0, 2.0])).tolist() == [math.inf] * 2

@@ -83,7 +83,7 @@ def commutator_scenario(h, unit: bool):
         s=(h.expr.parse(f"{cs[0]} * t1^(1.3)", 2), h.expr.parse(f"{cs[1]} * t2^(0.7)", 2)))
     return h.kernels.Scenario(d=2, kernel=kernel,
                               weights=(h.weights.isotropic(2, 0.3), h.weights.isotropic(2, -0.2)),
-                              p=(3.0, 4.5), q=(6.0, 9.0), lam=(-0.2, -0.1), mode="commutator")
+                              p=(3.0, 4.5), q=(6.0, 9.0), lam=(-0.2, -0.1))
 
 
 @functools.lru_cache(maxsize=None)
