@@ -84,11 +84,14 @@ def _build_weight(d: int, spec: dict) -> Weight:
 
 
 def _build_radial(spec: dict) -> RadialFunction:
+    unknown = sorted(set(spec) - {"profile", "inner_cutoff", "outer_cutoff"})
+    if unknown:
+        raise ScenarioError(f"unknown input key(s) {', '.join(unknown)}; "
+                            "an input takes profile, inner_cutoff, outer_cutoff")
     return RadialFunction(
         profile=parse(spec["profile"], 0),
         inner_cutoff=spec.get("inner_cutoff"),
         outer_cutoff=spec.get("outer_cutoff"),
-        origin_value=float(spec.get("origin_value", 0.0)),
     )
 
 
@@ -464,9 +467,6 @@ def run_suite(scenario_dir, output_path=None, flags=None) -> int:
     flags = dict(flags or {})
     directory = Path(scenario_dir)
     files = sorted(directory.glob("*.json"))
-    if not files:
-        sys.stderr.write(f"no scenario files in {directory}\n")
-        return EXIT_INPUT
     rows = []
     worst = EXIT_PASS
     # reports go to a directory named after the output; an output without a
@@ -480,6 +480,8 @@ def run_suite(scenario_dir, output_path=None, flags=None) -> int:
             summary_path = report_dir / "suite.json"
     try:
         _check_flags(flags)
+        if not files:
+            raise ScenarioError(f"no scenario files in {directory}")
     except ScenarioError as exc:
         return _input_error("suite", exc, summary_path)
     for path in files:

@@ -74,10 +74,6 @@ class SharpConstant:
     as_printed_value: float | None = None
     as_printed_divergent: bool | None = None
 
-    @property
-    def finite(self) -> bool:
-        return not self.divergent
-
 
 def _slot_exponents(kind: str, s: Scenario) -> tuple[float, ...]:
     d = s.d

@@ -304,12 +304,6 @@ def evaluate(e: Expr, t: np.ndarray | None = None, r: np.ndarray | float | None 
     return out
 
 
-def eval_scalar(e: Expr, t: tuple[float, ...] = (), r: float | None = None) -> float:
-    tm = np.asarray(t, dtype=float)[None, :] if len(t) else None
-    out = evaluate(e, t=tm, r=None if r is None else float(r))
-    return float(out[0])
-
-
 _ONE = np.ones(1)
 
 

@@ -485,7 +485,7 @@ def commutator_witness_check(s: Scenario, tol_pointwise: float = 1e-4,
     separation = _kernel_separation(s.kernel)
     finiteness_ok = True
     if separation["separated"]:
-        finiteness_ok = (math.isfinite(witness_integral) == D.finite == C.finite)
+        finiteness_ok = D.divergent == C.divergent == (not math.isfinite(witness_integral))
     report = {
         "witness_integral": witness_integral,
         "witness_exponent": exponent,

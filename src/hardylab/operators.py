@@ -35,8 +35,7 @@ from .kernels import Scenario
 from .quad import QuadResult, integrate_positive_orthant, integrate_unit_cube
 from .spaces import RadialFunction
 
-__all__ = ["OperatorInstance", "apply", "apply_radial_closed_form",
-           "power_log_moment", "separable_profile"]
+__all__ = ["OperatorInstance", "apply", "apply_radial_closed_form", "separable_profile"]
 
 @dataclass(frozen=True)
 class OperatorInstance:
@@ -68,25 +67,14 @@ class OperatorInstance:
         return "plain"
 
 
-def power_log_moment(b: float, m: int, lo, hi):
-    """integral over [lo, hi] of t^b log(1/t)^m dt, 0 <= lo <= hi <= 1.
-
-    ``lo`` and ``hi`` may be arrays (broadcast together); scalar bounds give
-    a float.  Exact recursion: (b+1) I(b,m) = [t^{b+1} log(1/t)^m] +
-    m I(b, m-1); for b = -1 the antiderivative is -log(1/t)^{m+1}/(m+1).
-    Divergent (inf) where lo = 0 < hi and b <= -1.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if not ((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)).all():
-        raise ValueError("need 0 <= lo <= hi <= 1")
-    out = _moment(b, m, lo, hi)
-    return float(out) if out.ndim == 0 else out
-
-
 def _moment(b: float, m: int, lo, hi):
-    """power_log_moment for bounds (floats or arrays) already known to
-    satisfy its range."""
+    """integral over [lo, hi] of t^b log(1/t)^m dt, for floats or arrays
+    (broadcast together) with 0 <= lo <= hi <= 1, which the callers keep.
+
+    Exact recursion: (b+1) I(b,m) = [t^{b+1} log(1/t)^m] + m I(b, m-1); for
+    b = -1 the antiderivative is -log(1/t)^{m+1}/(m+1).  Divergent (inf)
+    where lo = 0 < hi and b <= -1.
+    """
     if b > -1.0 and m == 0:
         # t^{b+1} is 0 at t = 0, and an empty window cancels to 0 exactly
         return (hi ** (b + 1.0) - lo ** (b + 1.0)) / (b + 1.0)

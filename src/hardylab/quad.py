@@ -777,7 +777,6 @@ def integrate_unit_cube(
     tol: float | None = None,
     max_cells: int | None = None,
     breakpoints: list | None = None,
-    seed: int = 0,
 ) -> QuadResult:
     """Integrate ``f`` over (0,1)^n.
 
@@ -797,7 +796,7 @@ def integrate_unit_cube(
     if tol is None:
         tol = _DEFAULT_TOLS.get(n, _QMC_TOL)
     return _raise_kept(_integrate_family(lambda t, k: f(t), n, [(sing, breakpoints, max_cells)],
-                                         tol, lambda k: f, seed))[0]
+                                         tol, lambda k: f))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +878,7 @@ def _family_panels(f, n: int, maps: dict):
     return evaluate
 
 
-def _integrate_family(f, n: int, members: list, tol: float, member, seed: int = 0) -> list:
+def _integrate_family(f, n: int, members: list, tol: float, member) -> list:
     """integrate_unit_cube of each member of the row-wise family f(t, k),
     with members[k] = (sing, breakpoints, max_cells), all in lockstep;
     member(k) is member k's integrand of t alone.  The outcomes are those of
@@ -903,7 +902,7 @@ def _integrate_family(f, n: int, members: list, tol: float, member, seed: int = 
                 decided[k] = _divergent_result()
                 break
             if n >= 4:
-                decided[k] = _qmc_estimate(member(k), maps[k], n, tol, seed)
+                decided[k] = _qmc_estimate(member(k), maps[k], n, tol)
                 continue
         except Exception as exc:
             decided[k] = _kept(exc)
@@ -930,16 +929,16 @@ def _integrate_family(f, n: int, members: list, tol: float, member, seed: int = 
     return out
 
 
-def _qmc_estimate(f, maps, n: int, tol: float, seed: int) -> QuadResult:
+def _qmc_estimate(f, maps, n: int, tol: float) -> QuadResult:
     """Scrambled-Sobol estimate of f over (0,1)^n, in the graded coordinates
-    of maps."""
+    of maps; replicate k draws Sobol seed k."""
     from scipy.stats import qmc
 
     replicates = 8
     npts = 4096
     means = []
     for k in range(replicates):
-        sob = qmc.Sobol(d=n, scramble=True, seed=seed * 1009 + k)
+        sob = qmc.Sobol(d=n, scramble=True, seed=k)
         pts = sob.random(npts)
         pts = np.clip(pts, 1e-12, 1.0 - 1e-12)
         derivatives = _graded(maps, pts.T)

@@ -58,30 +58,24 @@ class RadialFunction:
     """f(x) = g(|x|) with optional inner/outer cutoffs.
 
     inner_cutoff r0 makes f vanish on |x| < r0 (the extremal families);
-    outer_cutoff R1 makes f vanish on |x| > R1 (truncations).  Negative
-    power profiles take the value ``origin_value`` (default 0) at x = 0.
+    outer_cutoff R1 makes f vanish on |x| > R1 (truncations).  f is 0 at
+    x = 0, where a negative power profile has no value.
     """
 
     profile: Expr
     inner_cutoff: float | None = None
     outer_cutoff: float | None = None
-    origin_value: float = 0.0
 
     def profile_at(self, r) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.zeros(r.shape)
-        live = np.ones(r.shape, dtype=bool)
+        live = r != 0.0
         if self.inner_cutoff is not None:
             live &= r >= self.inner_cutoff
         if self.outer_cutoff is not None:
             live &= r <= self.outer_cutoff
-        at_origin = r == 0.0
-        live &= ~at_origin
         if np.any(live):
             out[live] = _expr.evaluate(self.profile, r=r[live])
-        if np.any(at_origin):
-            inner_ok = self.inner_cutoff is None or self.inner_cutoff <= 0.0
-            out[at_origin] = self.origin_value if inner_ok else 0.0
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

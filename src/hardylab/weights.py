@@ -5,7 +5,7 @@ unit sphere, so every computation that matters here reduces to the sphere
 integral omega(S_d) and the radial factor.  For d = 1 the sphere is the two
 point set {-1, +1} and the sphere integral is, by convention, 2 omega(1).
 
-Ball masses follow from polar decomposition:
+Ball masses (spaces._radius_grid) follow from polar decomposition:
 
     omega(B(0,R)) = omega(S_d) R^{d+alpha} / (d+alpha),    alpha > -d,
 
@@ -118,9 +118,6 @@ class Weight:
             out[nz] = self.angular(u) * rad[nz] ** self.degree
         return out
 
-    def eval_point(self, x) -> float:
-        return float(self(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     # -- integrals -----------------------------------------------------------
 
     def sphere_integral(self) -> float:
@@ -170,17 +167,6 @@ class Weight:
 
     def locally_integrable(self) -> bool:
         return self.degree > -self.d
-
-    def ball_integral(self, radius: float) -> float:
-        """omega(B(0, R)); infinite (raises) unless degree > -d."""
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        if not self.locally_integrable():
-            raise DivergentWeightError(
-                f"|x|^{self.degree} is not locally integrable in dimension {self.d}"
-            )
-        dpa = self.d + self.degree
-        return self.sphere_integral() * radius ** dpa / dpa
 
 
 def isotropic(d: int, degree: float, c: float = 1.0) -> Weight:

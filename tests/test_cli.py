@@ -441,6 +441,35 @@ def test_bad_flags_are_an_input_error_for_every_command(tmp_path, flag, error):
     assert not (tmp_path / "suite" / "hardy-p2.json").exists()
 
 
+def test_suite_on_a_directory_with_no_scenario_writes_its_summary(tmp_path):
+    # the flags are checked first, then the directory; both write the reason
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    summary = tmp_path / "out" / "summary.json"
+    for flags, error in (([], f"no scenario files in {empty}"),
+                         (["--tol-override=0"], "--tol-override must be positive, not 0.0")):
+        assert main(["suite", str(empty), "-o", str(summary), *flags]) == EXIT_INPUT
+        assert read(summary) == {"tool": "hardylab", "version": hardylab.__version__,
+                                 "command": "suite", "error": error,
+                                 "exit_code": EXIT_INPUT}
+
+
+@pytest.mark.parametrize("command, field, key", [("eval", "inputs", "origin_value"),
+                                                 ("eval", "symbols", "outer_cuttoff"),
+                                                 ("norms", "inputs", "origin_value")])
+def test_an_unknown_input_key_is_an_input_error(tmp_path, command, field, key):
+    # an input or symbol takes profile, inner_cutoff and outer_cutoff; it is
+    # 0 at x = 0, and a key it would not read is refused, not ignored
+    params = {"inputs": [{"profile": "r^(-0.2)"}], "points": [[1.0]]}
+    params[field] = [{"profile": "log(r)" if field == "symbols" else "r^(-0.2)", key: 3.0}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_hardy_p2_task(command, params)))
+    out = tmp_path / "report.json"
+    assert run(command, path, out, {"no_timestamp": True}) == EXIT_INPUT
+    assert read(out)["error"] == (f"unknown input key(s) {key}; "
+                                  "an input takes profile, inner_cutoff, outer_cutoff")
+
+
 def test_suite_over_bundled_dir(tmp_path):
     out = tmp_path / "suite.json"
     code = run_suite(SCENARIOS, out, {"no_timestamp": True})

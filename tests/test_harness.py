@@ -6,9 +6,9 @@ import pytest
 
 from hardylab import harness, kernels, operators, quad, spaces
 from hardylab.expr import parse
-from hardylab.harness import (commutator_witness_check, morrey_extremal_check,
-                              operator_radial_lp_norm, sharpness_sweep,
-                              upper_bound_fuzz)
+from hardylab.harness import (_kernel_separation, commutator_witness_check,
+                              morrey_extremal_check, operator_radial_lp_norm,
+                              sharpness_sweep, upper_bound_fuzz)
 from hardylab.kernels import KernelSpec, Scenario, check_morrey_balance
 from hardylab.operators import OperatorInstance
 from hardylab.spaces import make_witness_lp, power_profile
@@ -388,3 +388,11 @@ def test_morrey_extremal_check_reports_a_divergent_constant():
     assert not rep["passed"]
     assert rep["reason"] == "morrey constant diverges"
     assert rep["constant"] == math.inf
+
+
+@pytest.mark.parametrize("s, side", [("2 + t1", "above"), ("2 * t1", "mixed")])
+def test_kernel_separation_reads_the_other_sides(s, side):
+    # |s| > 1 on the whole cube, or neither side (2 t1 crosses 1 at t1 = 1/2);
+    # the commutator witness tests read 'below'
+    kernel = KernelSpec(m=1, n=1, psi=parse("1", 1), s=(parse(s, 1),))
+    assert _kernel_separation(kernel) == {"separated": side != "mixed", "sides": [side]}

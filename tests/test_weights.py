@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from hardylab.expr import parse
 from hardylab.quad import SingularityHints, integrate_unit_cube
-from hardylab.weights import (DivergentWeightError, Weight,
-                              isotropic, product_weight, sphere_surface_area)
+from hardylab.spaces import _radius_grid
+from hardylab.weights import Weight, isotropic, product_weight, sphere_surface_area
 
 
 def test_pointwise_power_weights():
-    assert isotropic(1, 2.0).eval_point([-3.0]) == pytest.approx(9.0)
-    assert isotropic(2, 0.0).eval_point([0.3, -0.4]) == pytest.approx(1.0)
-    assert isotropic(3, -1.0).eval_point([0.0, 0.0, 2.0]) == pytest.approx(0.5)
+    assert isotropic(1, 2.0)([[-3.0]])[0] == pytest.approx(9.0)
+    assert isotropic(2, 0.0)([[0.3, -0.4]])[0] == pytest.approx(1.0)
+    assert isotropic(3, -1.0)([[0.0, 0.0, 2.0]])[0] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
@@ -24,16 +25,22 @@ def test_weight_constant_must_be_positive(kind, c):
 
 
 def test_origin_conventions():
-    assert isotropic(2, 1.5).eval_point([0.0, 0.0]) == 0.0
+    assert isotropic(2, 1.5)([[0.0, 0.0]])[0] == 0.0
     from hardylab.expr import DomainError
 
     with pytest.raises(DomainError):
-        isotropic(2, -0.5).eval_point([0.0, 0.0])
+        isotropic(2, -0.5)([[0.0, 0.0]])
 
 
 def test_sphere_integrals():
-    # d = 1 convention: 2 * omega(1)
+    # d = 1 convention: 2 * omega(1), for every kind
     assert isotropic(1, -0.3, c=3.0).sphere_integral() == pytest.approx(6.0)
+    angular = Weight(d=1, degree=0.0, kind="angular", phi=parse("2 + t1^2", 1))
+    power_x1 = Weight(d=1, degree=0.0, kind="power-x1", c=1.5)
+    assert angular.sphere_integral() == 4.0
+    assert power_x1.sphere_integral() == 3.0
+    both = product_weight([(angular, 0.5), (power_x1, 0.5)])
+    assert both.sphere_integral() == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-15)
     assert isotropic(2, 0.0).sphere_integral() == pytest.approx(2.0 * math.pi)
     assert isotropic(3, 0.0).sphere_integral() == pytest.approx(4.0 * math.pi)
 
@@ -52,15 +59,17 @@ def test_first_coordinate_weight_against_quadrature_oracle():
 
 
 def test_ball_integrals():
-    assert isotropic(1, 0.0).ball_integral(2.0) == pytest.approx(4.0)
-    assert isotropic(2, 0.0).ball_integral(1.0) == pytest.approx(math.pi)
-    # polar-reduction oracle: 4*pi * int_0^2 r^{-1} r^2 dr = 8*pi
-    assert isotropic(3, -1.0).ball_integral(2.0) == pytest.approx(8.0 * math.pi)
+    # the ball masses of the norms' radius grid, at R = 1/2, 1 and 2
+    for w, want in ((isotropic(1, 0.0), [1.0, 2.0, 4.0]),
+                    (isotropic(2, 0.0), [math.pi / 4.0, math.pi, 4.0 * math.pi]),
+                    # polar-reduction oracle: 4*pi * int_0^R r^{-1} r^2 dr = 2*pi R^2
+                    (isotropic(3, -1.0), [math.pi / 2.0, 2.0 * math.pi, 8.0 * math.pi])):
+        radii, masses = _radius_grid(w.sphere_integral(), w.d + w.degree, 1)
+        assert radii == [0.5, 1.0, 2.0]
+        assert masses == pytest.approx(want)
 
 
 def test_ball_divergence_flag():
-    with pytest.raises(DivergentWeightError):
-        isotropic(2, -2.0).ball_integral(1.0)
     assert not isotropic(2, -2.0).locally_integrable()
     assert isotropic(2, -1.9).locally_integrable()
 
@@ -74,13 +83,14 @@ def test_homogeneity_sampled(rng):
     assert np.max(np.abs(lhs - rhs) / rhs) <= 1e-12
 
 
-def test_ball_scaling_identity(rng):
-    # omega(sB) = |s|^{d+alpha} omega(B)
+def test_ball_scaling_identity():
+    # omega(sB) = |s|^{d+alpha} omega(B), for the dyadic s = 2^k of the radius grid
     for w in (isotropic(1, 0.5), isotropic(2, -0.7), isotropic(3, 1.2)):
-        for s in rng.uniform(0.2, 5.0, size=8):
-            lhs = w.ball_integral(s * 1.7)
-            rhs = s ** (w.d + w.degree) * w.ball_integral(1.7)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+        dpa = w.d + w.degree
+        _, masses = _radius_grid(w.sphere_integral(), dpa, 8)
+        for k in (1, 2, 5):
+            for lo, hi in zip(masses, masses[k:]):
+                assert hi == pytest.approx(2.0 ** (k * dpa) * lo, rel=1e-12)
 
 
 def test_product_weight_mass_is_not_product_of_masses():
