@@ -66,33 +66,44 @@ class ScenarioError(ValueError):
 # scenario loading
 # ---------------------------------------------------------------------------
 
-def _build_weight(d: int, spec: dict) -> Weight:
-    kind = spec.get("kind", "isotropic")
-    degree = float(spec["degree"])
-    params = spec.get("params", {})
-    if kind == "isotropic":
-        return Weight(d=d, degree=degree, kind="isotropic",
-                      c=float(params.get("c", 1.0)))
-    if kind == "power-x1":
-        return Weight(d=d, degree=degree, kind="power-x1",
-                      c=float(params.get("c", 1.0)),
-                      e=float(params.get("e", degree)))
-    if kind == "angular":
-        phi = parse(params["phi"], 1)
-        return Weight(d=d, degree=degree, kind="angular", phi=phi)
-    raise ScenarioError(f"unknown weight kind {kind!r}")
+# the params each weight kind takes: c is optional, and e and phi are not
+_WEIGHT_PARAMS = {"isotropic": ("c",), "power-x1": ("c", "e"), "angular": ("phi",)}
+# every task param some command reads (README lists which); any command
+# accepts them all, so one file runs under every command
+_TASK_PARAMS = ("kind", "force_quadrature", "expected_value", "rel_tol", "expect",
+                "trials", "inputs", "symbols", "points", "allow_divergent")
 
 
-def _build_radial(spec: dict) -> RadialFunction:
-    unknown = sorted(set(spec) - {"profile", "inner_cutoff", "outer_cutoff"})
+def _refuse_unknown(keys, known: tuple, what: str, owner: str) -> None:
+    """Refuse the keys that nothing reads: an input error that names them."""
+    unknown = sorted(set(keys) - set(known))
     if unknown:
-        raise ScenarioError(f"unknown input key(s) {', '.join(unknown)}; "
-                            "an input takes profile, inner_cutoff, outer_cutoff")
-    return RadialFunction(
-        profile=parse(spec["profile"], 0),
-        inner_cutoff=spec.get("inner_cutoff"),
-        outer_cutoff=spec.get("outer_cutoff"),
-    )
+        raise ScenarioError(f"unknown {what}(s) {', '.join(unknown)}; "
+                            f"{owner} takes {', '.join(known)}")
+
+
+def _build_weight(d: int, spec: dict) -> Weight:
+    kind = spec.get("kind", Weight.kind)
+    if kind not in _WEIGHT_PARAMS:
+        raise ScenarioError(f"unknown weight kind {kind!r}")
+    params = dict(spec.get("params", {}))
+    _refuse_unknown(params, _WEIGHT_PARAMS[kind], "weight param", f"a weight of kind {kind}")
+    for key in _WEIGHT_PARAMS[kind]:
+        if key in params:
+            params[key] = parse(params[key], 1) if key == "phi" else float(params[key])
+        elif key != "c":
+            raise ScenarioError(f"a weight of kind {kind} needs params.{key}")
+    return Weight(d=d, degree=float(spec["degree"]), kind=kind, **params)
+
+
+def _build_radial(spec) -> RadialFunction:
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"an input is an object with a profile, not {spec!r}")
+    _refuse_unknown(spec, ("profile", "inner_cutoff", "outer_cutoff"), "input key", "an input")
+    if "profile" not in spec:
+        raise ScenarioError(f"an input needs a profile: {spec!r}")
+    cutoffs = {key: value for key, value in spec.items() if key != "profile"}
+    return RadialFunction(parse(spec["profile"], 0), **cutoffs)
 
 
 def load_scenario(path: Path) -> tuple[Scenario, dict, dict]:
@@ -107,20 +118,11 @@ def load_scenario(path: Path) -> tuple[Scenario, dict, dict]:
         n = int(kspec["n"])
         sing = None
         if "singularities" in kspec:
-            sg = kspec["singularities"]
-            sing = SingularityHints(
-                zero=tuple(sg.get("zero", [])), one=tuple(sg.get("one", [])),
-                zero_logs=tuple(sg.get("zero_logs", [])),
-                one_logs=tuple(sg.get("one_logs", [])),
-            ).normalized(n)
-        kernel = KernelSpec(
-            m=int(kspec["m"]), n=n,
-            psi=parse(kspec["psi"], n),
-            s=tuple(parse(txt, n) for txt in kspec["s"]),
-            domain=kspec.get("domain", "unit-cube"),
-            sing=sing,
-            beta=kspec.get("beta"),
-        )
+            sg = {"zero": (), "one": (), **kspec["singularities"]}
+            sing = SingularityHints(**{k: tuple(v) for k, v in sg.items()}).normalized(n)
+        kernel = KernelSpec(m=int(kspec["m"]), n=n, psi=parse(kspec["psi"], n),
+                            s=tuple(parse(txt, n) for txt in kspec["s"]), sing=sing,
+                            **{k: kspec[k] for k in ("domain", "beta") if k in kspec})
         kernel.validate()
         exps = doc["exponents"]
         p = tuple(exps["p"])
@@ -130,6 +132,7 @@ def load_scenario(path: Path) -> tuple[Scenario, dict, dict]:
         scenario = Scenario(d=d, kernel=kernel, weights=weights, p=p, q=q, lam=lam)
         scenario.p_out_exact()  # reads every p_k and q_k exactly, as the report does
         task = doc.get("task", {})
+        _refuse_unknown(task.get("params", {}), _TASK_PARAMS, "task param", "a task")
         return scenario, task, doc
     except ScenarioError:
         raise
@@ -243,9 +246,18 @@ def write_report(report: dict, output: Path | None) -> None:
 # command implementations: each returns (results dict, checks list, exit code)
 # ---------------------------------------------------------------------------
 
+def _given(source: dict, cast, **args) -> dict:
+    """{arg: cast(source[key])} for each arg=key that source sets, and not to
+    None: a setting the file or the flags leave out keeps the default of the
+    library function that reads it."""
+    return {arg: cast(source[key]) for arg, key in args.items()
+            if source.get(key) is not None}
+
+
 def _cmd_constant(scenario, params, flags):
-    c = compute_constant(params.get("kind", "lebesgue"), scenario, tol=flags.get("tol"),
-                         force_quadrature=bool(params.get("force_quadrature", False)))
+    c = compute_constant(params.get("kind", "lebesgue"), scenario,
+                         **_given(flags, float, tol="tol"),
+                         **_given(params, bool, force_quadrature="force_quadrature"))
     checks = []
     code = EXIT_PASS
     expect_divergent = params.get("expect") == "divergent"
@@ -275,11 +287,11 @@ def _cmd_eval(scenario, params, flags):
     points = params.get("points")
     if not points:
         raise ScenarioError("eval needs task.params.points")
+    settings = {**_given(flags, float, tol="tol"), **_given(flags, int, max_cells="max_cells")}
     results = []
     code = EXIT_PASS
     for pt in points:
-        res = apply(inst, np.asarray(pt, dtype=float), tol=flags.get("tol"),
-                    max_cells=flags.get("max_cells"))
+        res = apply(inst, np.asarray(pt, dtype=float), **settings)
         results.append({"point": pt, "result": res})
         if res.divergent:
             code = EXIT_DIVERGENT
@@ -287,7 +299,7 @@ def _cmd_eval(scenario, params, flags):
 
 
 def _cmd_norms(scenario, params, flags):
-    J = flags.get("radii_J", 20)
+    grid = _given(flags, int, J="radii_J")
     allow_divergent = bool(params.get("allow_divergent", False))
     out = []
     code = EXIT_PASS
@@ -295,13 +307,11 @@ def _cmd_norms(scenario, params, flags):
     if not specs:
         raise ScenarioError("norms needs task.params.inputs")
     for k, spec in enumerate(specs):
-        f = _build_radial(spec)
-        w = scenario.weights[min(k, scenario.m - 1)]
-        pk = scenario.slot_p(min(k, scenario.m - 1))
+        f, slot = _build_radial(spec), min(k, scenario.m - 1)
+        w, pk = scenario.weights[slot], scenario.slot_p(slot)
         entry = {"input": spec, "lebesgue": lp_norm(f, w, pk)}
         if scenario.mode in ("morrey", "commutator"):
-            lk = scenario.lam[min(k, scenario.m - 1)]
-            entry["central_morrey"] = central_morrey_norm(f, w, pk, lk, J=J)
+            entry["central_morrey"] = central_morrey_norm(f, w, pk, scenario.lam[slot], **grid)
         if entry["lebesgue"].divergent and not allow_divergent:
             code = EXIT_DIVERGENT
         out.append(entry)
@@ -309,7 +319,7 @@ def _cmd_norms(scenario, params, flags):
         slot = min(k, scenario.m - 1)
         qk = scenario.slot_q(slot) if scenario.q else 2.0
         out.append({"symbol": spec, "cmo": cmo_norm(_build_radial(spec),
-                                                    scenario.weights[slot], qk, 0.0, J=J)})
+                                                    scenario.weights[slot], qk, **grid)})
     return {"norms": out}, [], code
 
 
@@ -329,11 +339,7 @@ def _cmd_check_conditions(scenario, params, flags):
 
 
 def _cmd_sharpness(scenario, params, flags):
-    rep = harness.sharpness_sweep(
-        scenario,
-        eps_grid=tuple(params.get("eps_grid", harness.DEFAULT_EPS_GRID)),
-        sharpness_tol=float(params.get("sharpness_tol", 0.02)),
-    )
+    rep = harness.sharpness_sweep(scenario)
     checks = [
         {"name": "ratios-bounded-by-constant", "passed": rep.bounded},
         {"name": "ratios-monotone", "passed": rep.monotone},
@@ -344,24 +350,16 @@ def _cmd_sharpness(scenario, params, flags):
 
 
 def _cmd_fuzz(scenario, params, flags):
-    seed = flags.get("seed")
-    rep = harness.upper_bound_fuzz(
-        trials=int(params.get("trials", 100)),
-        seed=int(params.get("seed", 1315) if seed is None else seed),
-        max_d=int(params.get("max_d", 2)),
-        max_m=int(params.get("max_m", 2)),
-        max_n=int(params.get("max_n", 2)),
-    )
+    rep = harness.upper_bound_fuzz(**_given(params, int, trials="trials"),
+                                   **_given(flags, int, seed="seed"))
     checks = [{"name": "no-upper-bound-violations", "passed": rep["passed"],
                "max_ratio": rep["max_ratio"]}]
     return {"fuzz": rep}, checks, EXIT_PASS if rep["passed"] else EXIT_FAIL
 
 
 def _cmd_morrey_extremal(scenario, params, flags):
-    rep = harness.morrey_extremal_check(
-        scenario, tol=float(params.get("rel_tol", 1e-3)),
-        radii_J=flags.get("radii_J", 20),
-    )
+    rep = harness.morrey_extremal_check(scenario, **_given(params, float, tol="rel_tol"),
+                                        **_given(flags, int, J="radii_J"))
     checks = [{"name": "extremal-ratio-identity", "passed": rep["passed"]}]
     if rep.get("constant") == math.inf:
         return {"morrey_extremal": rep}, checks, EXIT_DIVERGENT
@@ -369,12 +367,7 @@ def _cmd_morrey_extremal(scenario, params, flags):
 
 
 def _cmd_commutator_witness(scenario, params, flags):
-    rep = harness.commutator_witness_check(
-        scenario,
-        tol_pointwise=float(params.get("tol_pointwise", 1e-4)),
-        tol_ratio=float(params.get("tol_ratio", 1e-3)),
-        radii_J=flags.get("radii_J", 20),
-    )
+    rep = harness.commutator_witness_check(scenario, **_given(flags, int, J="radii_J"))
     checks = [
         {"name": "pointwise-identity", "passed": rep["pointwise_ok"]},
         {"name": "morrey-ratio-identity", "passed": rep["ratio"].get("ok", False)},
@@ -449,12 +442,9 @@ def run(command: str, scenario_path, output_path=None, flags=None) -> int:
         report["elapsed_s"] = round(time.time() - t0, 3)
     write_report(report, output_path)
     if command == "sharpness" and flags.get("emit_csv"):
-        rep = results["sweep"]
         with open(flags["emit_csv"], "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["epsilon", "ratio", "target", "margin"])
-            for row in rep.csv_rows():
-                wr.writerow(row)
+            csv.writer(fh).writerows([("epsilon", "ratio", "target", "margin"),
+                                      *results["sweep"].csv_rows()])
     return code
 
 
@@ -494,9 +484,7 @@ def run_suite(scenario_dir, output_path=None, flags=None) -> int:
             continue
         command = task.get("command", "constant")
         expect_divergent = task.get("params", {}).get("expect") == "divergent"
-        out = None
-        if output_path is not None:
-            out = report_dir / (path.stem + ".json")
+        out = None if output_path is None else report_dir / (path.stem + ".json")
         code = run(command, path, out, flags)
         ok = (code == EXIT_DIVERGENT) if expect_divergent else (code == EXIT_PASS)
         rows.append({"scenario": path.name, "command": command,
@@ -525,26 +513,22 @@ def main(argv=None) -> int:
                     "Hardy-Cesaro and Hausdorff operators.",
     )
     ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("scenario", nargs="?", default=None,
+    ap.add_argument("scenario", nargs="?",
                     help="scenario file (or directory for 'suite'; defaults "
                          "to the bundled scenarios)")
-    ap.add_argument("-o", "--output", default=None, help="report file (default: stdout)")
-    ap.add_argument("--seed", type=int, default=None,
+    ap.add_argument("-o", "--output", help="report file (default: stdout)")
+    ap.add_argument("--seed", type=int,
                     help="fuzz: trial seed (other commands echo it in the report)")
-    ap.add_argument("--tol-override", type=float, default=None, dest="tol",
+    ap.add_argument("--tol-override", type=float, dest="tol",
                     help="constant, eval: quadrature tolerance, > 0")
-    ap.add_argument("--max-cells", type=int, default=None, dest="max_cells",
-                    help="eval: quadrature cell cap")
-    ap.add_argument("--radii-J", type=int, default=20, dest="radii_J",
+    ap.add_argument("--max-cells", type=int, help="eval: quadrature cell cap")
+    ap.add_argument("--radii-J", type=int, dest="radii_J",
                     help="norms, morrey-extremal, commutator-witness: radius grid "
-                         "2^j, |j| <= J (default 20)")
-    ap.add_argument("--emit-csv", default=None, dest="emit_csv",
-                    help="sharpness: also write the sweep as CSV here")
-    ap.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
+                         "2^j, |j| <= J (default: the library's J)")
+    ap.add_argument("--emit-csv", help="sharpness: also write the sweep as CSV here")
+    ap.add_argument("--no-timestamp", action="store_true")
     args = ap.parse_args(argv)
-    flags = {"seed": args.seed, "tol": args.tol, "max_cells": args.max_cells,
-             "radii_J": args.radii_J, "emit_csv": args.emit_csv,
-             "no_timestamp": args.no_timestamp}
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "scenario", "output")}
     if args.command == "suite":
         where = args.scenario or bundled_scenario_dir()
         return run_suite(where, args.output, flags)

@@ -31,9 +31,9 @@ from .expr import parse
 from .kernels import KernelSpec, Scenario, check_morrey_balance, cube_points
 from .operators import (OperatorInstance, apply, apply_radial_closed_form,
                         separable_profile)
-from .spaces import (NormResult, RadialFunction, _analytic_tail, _power_morrey_norm,
-                     _radial_lp, central_morrey_norm, lp_norm, make_witness_lp,
-                     power_profile, log_profile)
+from .spaces import (_DEFAULT_J, NormResult, RadialFunction, _analytic_tail,
+                     _power_morrey_norm, _radial_lp, central_morrey_norm, lp_norm,
+                     make_witness_lp, power_profile, log_profile)
 from .weights import isotropic
 
 __all__ = [
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 DEFAULT_EPS_GRID = (0.1, 0.03, 0.01, 0.003, 0.001)
+_SHARPNESS_TOL = 0.02  # a sweep is sharp when its last ratio is >= (1 - tol) A
+_WITNESS_RATIO_TOL = 1e-3  # the witness's Morrey ratio against its integral
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +100,7 @@ def operator_radial_lp_norm(inst: OperatorInstance, outer_tol: float = 1e-9) -> 
         exps.append(pw[1])
     sum_gamma = float(sum(exps))
 
-    unit = np.zeros(d)
-    unit[0] = 1.0
+    unit = np.eye(d)[0]
 
     separable = separable_profile(inst)
 
@@ -182,8 +183,7 @@ def _aitken(values: list[float]) -> float:
     return r3 - (r3 - r2) ** 2 / denom
 
 
-def sharpness_sweep(s: Scenario, eps_grid=DEFAULT_EPS_GRID,
-                    sharpness_tol: float = 0.02) -> SweepReport:
+def sharpness_sweep(s: Scenario, eps_grid=DEFAULT_EPS_GRID) -> SweepReport:
     """Ratio ||T(f_eps)|| / prod ||f_k,eps|| along the extremal family.
 
     Requires a finite Lebesgue constant and a declared beta for the kernel
@@ -220,13 +220,13 @@ def sharpness_sweep(s: Scenario, eps_grid=DEFAULT_EPS_GRID,
     bounded = all(r <= A * (1.0 + 1e-6) for r in ratios)
     monotone = all(ratios[i + 1] >= ratios[i] - 1e-6 * max(A, 1.0)
                    for i in range(len(ratios) - 1))
-    sharp = ratios[-1] >= (1.0 - sharpness_tol) * A
+    sharp = ratios[-1] >= (1.0 - _SHARPNESS_TOL) * A
     passed = bounded and monotone and sharp and len(ratios) == len(points)
     return SweepReport(
         target=A, points=tuple(points), extrapolated=extrapolated,
         bounded=bounded, monotone=monotone, sharp=sharp, passed=passed,
         details={"constant_method": target.method,
-                 "sharpness_tol": sharpness_tol},
+                 "sharpness_tol": _SHARPNESS_TOL},
     )
 
 
@@ -336,10 +336,7 @@ def _extremal_morrey_norms(s: Scenario) -> tuple[float, list[float], float]:
     spaces += [(w, s.slot_p(k), s.lam[k]) for k, w in enumerate(s.weights)]
     top, *slot_norms = [_power_morrey_norm(1.0, w.sphere_integral(), s.d + w.degree,
                                            pk, lk) for w, pk, lk in spaces]
-    bottom = 1.0
-    for norm in slot_norms:
-        bottom *= norm
-    return top, slot_norms, top / bottom
+    return top, slot_norms, top / math.prod(slot_norms)
 
 
 def _rel_gap(got: float, want: float) -> float:
@@ -348,7 +345,7 @@ def _rel_gap(got: float, want: float) -> float:
 
 
 def morrey_extremal_check(s: Scenario, tol: float = 1e-3,
-                          radii_J: int = 20) -> dict:
+                          J: int = _DEFAULT_J) -> dict:
     """Extremal ratio for the central Morrey bound.
 
     With f_k = |x|^{(d+alpha_k) lambda_k} the operator output is the pure
@@ -370,7 +367,7 @@ def morrey_extremal_check(s: Scenario, tol: float = 1e-3,
     coeff, exponent = apply_radial_closed_form(inst)
     out_profile = power_profile(exponent, coeff=coeff.value)
     norm = central_morrey_norm(out_profile, s.omega, s.p_out, s.lam_out,
-                               J=radii_J, use_grid=True)
+                               J=J, use_grid=True)
     top, slot_norms, normalization = _extremal_morrey_norms(s)
     expected = B.value * float(np.prod(slot_norms)) * normalization
     rel_gap = _rel_gap(norm.value, expected)
@@ -415,8 +412,7 @@ def _printed_norm_variants(s: Scenario, adopted: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def commutator_witness_check(s: Scenario, tol_pointwise: float = 1e-4,
-                             tol_ratio: float = 1e-3,
-                             radii_J: int = 20) -> dict:
+                             J: int = _DEFAULT_J) -> dict:
     """The log-symbol witness computation behind the commutator necessity.
 
     With b_k = log|x| and f_k = |x|^{(d+alpha_k) lambda_k}:
@@ -439,8 +435,7 @@ def commutator_witness_check(s: Scenario, tol_pointwise: float = 1e-4,
 
     # (a) pointwise identity at sample radii
     radii = 2.0 ** np.linspace(-3.0, 9.0, 16)
-    unit = np.zeros(s.d)
-    unit[0] = 1.0
+    unit = np.eye(s.d)[0]
     worst_rel = 0.0
     pointwise = []
     for r in radii:
@@ -460,7 +455,7 @@ def commutator_witness_check(s: Scenario, tol_pointwise: float = 1e-4,
         _, slot_norms, normalization = _extremal_morrey_norms(s)
         out_profile = power_profile(exponent, coeff=witness_integral)
         norm = central_morrey_norm(out_profile, s.omega, s.p_out, lam,
-                                   J=radii_J, use_grid=True)
+                                   J=J, use_grid=True)
         expected = witness_integral * normalization
         ratio = norm.value / float(np.prod(slot_norms))
         rel_gap = _rel_gap(ratio, expected)
@@ -471,7 +466,7 @@ def commutator_witness_check(s: Scenario, tol_pointwise: float = 1e-4,
             "witness_integral": witness_integral,
             "normalization": normalization,
             "rel_gap": rel_gap,
-            "ok": norm.status == "finite" and rel_gap <= tol_ratio,
+            "ok": norm.status == "finite" and rel_gap <= _WITNESS_RATIO_TOL,
         })
     else:
         ratio_report.update({

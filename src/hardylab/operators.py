@@ -34,6 +34,7 @@ from . import expr as _expr
 from .kernels import Scenario
 from .quad import QuadResult, integrate_positive_orthant, integrate_unit_cube
 from .spaces import RadialFunction
+from .weights import _row_norms
 
 __all__ = ["OperatorInstance", "apply", "apply_radial_closed_form", "separable_profile"]
 
@@ -306,7 +307,7 @@ def apply(inst: OperatorInstance, x, tol: float | None = None,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (s.d,):
         raise ValueError(f"x must be a point in R^{s.d}")
-    xr = float(np.sqrt(np.sum(x * x)))
+    xr = float(_row_norms(x[None, :])[0])
 
     profile = None if force_quadrature or xr <= 0.0 else separable_profile(inst)
     if profile is not None:
@@ -368,6 +369,5 @@ def apply_radial_closed_form(inst: OperatorInstance) -> tuple[QuadResult, float]
     for b in inst.symbols:
         if not (isinstance(b, RadialFunction) and b.is_log):
             raise ValueError("closed-form commutator route needs log symbols")
-    unit = np.zeros(inst.scenario.d)
-    unit[0] = 1.0
+    unit = np.eye(inst.scenario.d)[0]
     return apply(inst, unit), exponent

@@ -33,7 +33,7 @@ from . import expr as _expr
 from .expr import Expr, classify
 from .kernels import Scenario
 from .quad import _raise_kept, integrate_intervals
-from .weights import DivergentWeightError, Weight, sphere_surface_area
+from .weights import DivergentWeightError, Weight, _row_norms, sphere_surface_area
 
 __all__ = [
     "RadialFunction",
@@ -80,7 +80,7 @@ class RadialFunction:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.profile_at(np.sqrt(np.sum(x * x, axis=1)))
+        return self.profile_at(_row_norms(x))
 
     def power_form(self) -> tuple[float, float] | None:
         """(coeff, gamma) if the profile is exactly coeff * r^gamma."""

@@ -45,6 +45,22 @@ def _x1_moment(d: int, e: float) -> float:
             / math.gamma((d + e) / 2.0))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """|x| of each row of x (N, d): |x_1| for d = 1, as the plain formula
+    rounds it where x_1^2 is a normal double; for d >= 2, a row whose squares
+    underflow is divided by its largest coordinate first, and no other."""
+    if x.shape[1] == 1:
+        return np.abs(x[:, 0])
+    sq = np.sum(x * x, axis=1)
+    out = np.sqrt(sq)
+    small = sq < 2.0 ** -1022  # the smallest normal double
+    if small.any():
+        big = np.max(np.abs(x[small]), axis=1, keepdims=True)
+        scaled = x[small] / np.where(big > 0.0, big, 1.0)
+        out[small] = big[:, 0] * np.sqrt(np.sum(scaled * scaled, axis=1))
+    return out
+
+
 @dataclass(frozen=True)
 class Weight:
     """A weight in the homogeneous class of degree ``degree`` on R^d.
@@ -108,7 +124,7 @@ class Weight:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """omega at points x of shape (N, d); omega(0) := 0 for degree > 0."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        rad = np.sqrt(np.sum(x * x, axis=1))
+        rad = _row_norms(x)
         out = np.zeros(x.shape[0])
         nz = rad > 0.0
         if np.any(~nz) and self.degree <= 0.0:

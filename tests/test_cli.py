@@ -236,6 +236,16 @@ def test_declared_singularities_reach_the_quadrature(tmp_path, monkeypatch):
     assert abs(c["value"] - 5.085148419616586) <= c["error"]
 
 
+def test_an_unknown_singularity_key_is_an_input_error(tmp_path):
+    doc = read(SCENARIOS / "hardy-p2.json")
+    doc["kernel"]["singularities"] = {"zeros": [-0.5]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run("constant", path, out, {"no_timestamp": True}) == EXIT_INPUT
+    assert "unexpected keyword argument 'zeros'" in read(out)["error"]
+
+
 def test_eval_of_a_commutator_with_a_log_symbol(tmp_path):
     # [log|x|, H] r^-1/4 at |x| = 2: 2^-1/4 int_0^1 log(1/t) t^-1/4 dt
     code, results = _run_task(tmp_path, _HARDY_DOC, "eval", inputs=[{"profile": "r^(-0.25)"}],
@@ -468,6 +478,101 @@ def test_an_unknown_input_key_is_an_input_error(tmp_path, command, field, key):
     assert run(command, path, out, {"no_timestamp": True}) == EXIT_INPUT
     assert read(out)["error"] == (f"unknown input key(s) {key}; "
                                   "an input takes profile, inner_cutoff, outer_cutoff")
+
+
+@pytest.mark.parametrize("spec, error", [
+    ({"inner_cutoff": 1.0}, "an input needs a profile: {'inner_cutoff': 1.0}"),
+    (5, "an input is an object with a profile, not 5"),
+    ("r^2", "an input is an object with a profile, not 'r^2'"),
+], ids=["no-profile", "number", "string"])
+@pytest.mark.parametrize("command", ["eval", "norms"])
+def test_a_malformed_input_spec_is_an_input_error(tmp_path, command, spec, error):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_hardy_p2_task(command, {"inputs": [spec],
+                                                        "points": [[1.0]]})))
+    out = tmp_path / "report.json"
+    assert run(command, path, out, {"no_timestamp": True}) == EXIT_INPUT
+    assert read(out)["error"] == error
+
+
+@pytest.mark.parametrize("key", ["expected_valeu", "seed", "eps_grid", "max_d", "tol_ratio"])
+def test_a_task_param_nothing_reads_is_an_input_error(tmp_path, key):
+    # a misspelt expected_value used to pass unchecked, and the params the
+    # commands dropped are refused, not ignored
+    doc = read(SCENARIOS / "hardy-p2.json")
+    doc["task"]["params"][key] = 3.0
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    path = scenarios / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["constant", str(path), "-o", str(out)]) == EXIT_INPUT
+    assert read(out)["error"] == (
+        f"unknown task param(s) {key}; a task takes kind, force_quadrature, "
+        "expected_value, rel_tol, expect, trials, inputs, symbols, points, allow_divergent")
+    assert run_suite(scenarios, tmp_path / "suite.json", {"no_timestamp": True}) == EXIT_INPUT
+    row, = read(tmp_path / "suite.json")["scenarios"]
+    assert row["status"] == "input-error" and key in row["detail"]
+
+
+def test_a_task_param_another_command_reads_is_accepted(tmp_path):
+    doc = read(SCENARIOS / "hardy-p2.json")
+    doc["task"]["params"].update(trials=2, allow_divergent=True, points=[[1.0]])
+    path = tmp_path / "any-command.json"
+    path.write_text(json.dumps(doc))
+    assert run("constant", path, tmp_path / "report.json", {"no_timestamp": True}) == EXIT_PASS
+
+
+@pytest.mark.parametrize("weight, error", [
+    ({"kind": "isotropic", "params": {"c": 1.0, "e": 0.5}},
+     "unknown weight param(s) e; a weight of kind isotropic takes c"),
+    ({"params": {"e": 0.5}}, "unknown weight param(s) e; a weight of kind isotropic takes c"),
+    ({"kind": "power-x1", "params": {"c": 1.0}}, "a weight of kind power-x1 needs params.e"),
+    ({"kind": "angular", "params": {"phi": "1", "c": 2.0}},
+     "unknown weight param(s) c; a weight of kind angular takes phi"),
+    ({"kind": "angular"}, "a weight of kind angular needs params.phi"),
+], ids=["isotropic-e", "default-kind-e", "power-x1-without-e", "angular-c",
+        "angular-without-phi"])
+def test_a_weight_param_its_kind_does_not_read_is_an_input_error(tmp_path, weight, error):
+    doc = read(SCENARIOS / "hardy-p2.json")
+    doc["weights"] = [{"degree": 0.0, **weight}]
+    path = tmp_path / "bad-weight.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run("constant", path, out, {"no_timestamp": True}) == EXIT_INPUT
+    assert read(out)["error"] == error
+
+
+class _Called(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command, scenario, name, argv, settings", [
+    ("morrey-extremal", "morrey-extremal-m2.json", "morrey_extremal_check", [],
+     {"tol": 1e-6}),
+    ("morrey-extremal", "morrey-extremal-m2.json", "morrey_extremal_check",
+     ["--radii-J", "5"], {"tol": 1e-6, "J": 5}),
+    ("commutator-witness", "commutator-witness-m1.json", "commutator_witness_check", [], {}),
+    ("sharpness", "hardy-sharpness.json", "sharpness_sweep", [], {}),
+    ("fuzz", "fuzz-quick.json", "upper_bound_fuzz", [], {"trials": 25, "seed": 1315}),
+    ("fuzz", "fuzz-quick.json", "upper_bound_fuzz", ["--seed", "7"],
+     {"trials": 25, "seed": 7}),
+], ids=["morrey-extremal", "morrey-extremal-J", "commutator-witness", "sharpness", "fuzz",
+        "fuzz-seed"])
+def test_a_command_passes_the_library_only_the_settings_given(tmp_path, monkeypatch, command,
+                                                               scenario, name, argv, settings):
+    # a setting that neither the file nor a flag gives keeps the default of
+    # the library function that reads it
+    seen = {}
+
+    def record(*args, **kwargs):
+        seen.update(kwargs)
+        raise _Called
+
+    monkeypatch.setattr(cli.harness, name, record)
+    with pytest.raises(_Called):
+        main([command, str(SCENARIOS / scenario), "-o", str(tmp_path / "r.json"), *argv])
+    assert seen == settings
 
 
 def test_suite_over_bundled_dir(tmp_path):

@@ -64,6 +64,23 @@ def test_apply_at_the_origin_reads_zero():
     assert abs(res.value) <= res.abs_error_estimate
 
 
+@pytest.mark.parametrize("psi, gamma", [("t1^-0.5", -0.49), ("t1^-0.98", -0.015)])
+def test_the_quadrature_route_near_the_face_reads_what_the_constant_does(psi, gamma):
+    # T f(e1) = int psi(t) f(t e1) dt is the Lebesgue constant's integral
+    # when f = r^gamma and gamma = -d/p; on the dilates t e1 with t below
+    # 2^-537 |x| underflowed, and the quadrature route read 97.59 and 168.95
+    # against the constant's 99.87 and 192.86 (the exact 100 and 200 miss by
+    # the mass the clamped face drops)
+    from hardylab.constants import compute_constant
+
+    kernel = KernelSpec(m=1, n=1, psi=parse(psi, 1), s=(parse("t1", 1),))
+    s = Scenario(d=2, kernel=kernel, weights=(isotropic(2, 0.0),), p=(-2.0 / gamma,))
+    want = compute_constant("lebesgue", s, force_quadrature=True)
+    got = apply(OperatorInstance(s, (power_profile(gamma),)), [1.0, 0.0],
+                force_quadrature=True)
+    assert got.value == want.value
+
+
 def test_power_form_classified_once_per_input(monkeypatch):
     # each input's profile is classified on its first power_form, then kept
     from hardylab import spaces

@@ -15,6 +15,14 @@ from hardylab.weights import Weight, isotropic
 from conftest import diagonal_scenario, hardy_scenario
 
 
+def test_a_negative_power_at_a_tiny_radius_is_not_zero():
+    # below about 2^-537 the square of |x| underflows, and the origin reads 0
+    f = power_profile(-0.49)
+    assert f([[2.0 ** -540]])[0] == pytest.approx(2.0 ** (540 * 0.49), rel=1e-12)
+    assert f([[2.0 ** -540, -2.0 ** -540]])[0] == pytest.approx(2.0 ** (539.5 * 0.49),
+                                                               rel=1e-12)
+
+
 def test_witness_norm_closed_form_d1():
     # cutoff power with exponent -(d+alpha)/p - eps has norm (mass/(p eps))^{1/p}
     w = isotropic(1, 0.0)

@@ -6,7 +6,8 @@ import pytest
 from hardylab.expr import parse
 from hardylab.quad import SingularityHints, integrate_unit_cube
 from hardylab.spaces import _radius_grid
-from hardylab.weights import Weight, isotropic, product_weight, sphere_surface_area
+from hardylab.weights import (Weight, _row_norms, isotropic, product_weight,
+                              sphere_surface_area)
 
 
 def test_pointwise_power_weights():
@@ -30,6 +31,21 @@ def test_origin_conventions():
 
     with pytest.raises(DomainError):
         isotropic(2, -0.5)([[0.0, 0.0]])
+
+
+def test_a_tiny_point_is_not_the_origin():
+    # the squares of 1e-170 underflow to 0, so |x| was read as 0
+    assert isotropic(2, -0.5)([[1e-170, 0.0]])[0] == pytest.approx(1e85, rel=1e-15)
+    assert isotropic(1, 0.5)([[1e-170]])[0] == pytest.approx(1e-85, rel=1e-15)
+
+
+def test_row_norms_keep_the_plain_bits_where_nothing_underflows(rng):
+    x = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-150, 150, (200, 1))
+    x[:3] = [[0.0, 0.0, 0.0], [3e-200, -4e-200, 0.0], [2.0 ** -1074, 0.0, 0.0]]
+    got = _row_norms(x)
+    assert np.array_equal(got[3:], np.sqrt(np.sum(x[3:] * x[3:], axis=1)))
+    assert np.array_equal(_row_norms(x[3:, :1]), np.sqrt(x[3:, 0] * x[3:, 0]))
+    assert list(got[:3]) == [0.0, pytest.approx(5e-200, rel=1e-15), 2.0 ** -1074]
 
 
 def test_sphere_integrals():
